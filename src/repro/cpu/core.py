@@ -203,10 +203,10 @@ class Core:
     def step(self) -> None:
         """Fetch, decode and execute a single instruction.
 
-        This is the reference interpreter (the engine's ``slow_path``):
-        the pre-decoded block engine in :mod:`repro.cpu.engine` must be
-        bit-identical to it at every instruction boundary, which the
-        differential tests assert.
+        This is the reference interpreter and the block engine's
+        interpreter tier (cold and uncompilable blocks): the compiled
+        blocks of :mod:`repro.cpu.engine` must be bit-identical to it at
+        every instruction boundary, which the differential tests assert.
         """
         pc = self.pc
         offset = pc - self.text_base
@@ -238,7 +238,8 @@ class Core:
         The SoC burst loop calls this once per core per burst instead of
         once per instruction.  Execution uses the pre-decoded block
         engine unless ``use_engine`` is off or a ``trace_hook`` is
-        installed (both force the per-instruction interpreter).  Stops
+        installed (both force the per-instruction interpreter for the
+        whole burst).  Stops
         early when the attached thread changes (syscall detach/kill) or
         — with ``stop_on_halt`` — after HALT.  On a guest fault the
         architectural state *and* statistics are exactly those of the

@@ -1,64 +1,71 @@
 """Pre-decoded basic-block execution engine: the simulator's fast path.
 
-The seed interpreter (:meth:`repro.cpu.core.Core.step`) pays a dict
-dispatch, two bounds checks and a dozen attribute lookups for every
-guest instruction, and the SoC burst loop re-enters Python call
-machinery once per instruction.  At campaign scale (millions of
+The reference interpreter (:meth:`repro.cpu.core.Core.step`) pays an
+opcode-table dispatch, two bounds checks and a dozen attribute lookups
+for every guest instruction.  At campaign scale (millions of
 injections, each replaying tens of thousands of instructions) that
-interpreter overhead is the binding constraint on how much of the
-scenario matrix fits in a compute budget.
+overhead is the binding constraint on how much of the scenario matrix
+fits in a compute budget.
 
-This module removes the per-instruction overhead without changing a
-single architecturally visible bit:
-
-Pre-decode
-    At first execution of a text segment (and after any invalidation)
-    every :class:`~repro.isa.instructions.Instr` is translated into a
-    specialized closure — register indices, immediates, masks, branch
-    targets and the handler itself are bound at decode time
-    (threaded-code style), so executing an instruction is one closure
-    call instead of fetch/decode/dispatch.  Closures receive the live
-    integer register list as an argument, fetched once per block.
+This module removes it without changing a single architecturally
+visible bit.  Instruction semantics live in exactly two places: the
+interpreter's handlers and the code emitter :func:`_emit_instr`.
+Decoded blocks run on one of two tiers, compiled or interpreter:
 
 Superblocks
     Straight-line runs (ending at a branch, ``SVC`` or ``HALT`` — see
     :data:`repro.isa.instructions.BLOCK_TERMINATOR_OPS`) become blocks
     that execute as a unit: PC alignment/bounds checks and the
-    thread/halt checks happen once per block, and the
-    ``cycles``/``instructions``/instruction-class counters accumulate
-    in burst-local integers flushed once per burst.  A block entry
-    exists for *every* instruction index (each suffix of a run shares
-    the decoded closures), so branching into the middle of a run — or
-    resuming a paused simulation there — costs nothing.
+    thread/halt checks happen once per block.  A block entry exists for
+    *every* instruction index (the suffix of its run), so branching into
+    the middle of a run — or resuming a paused simulation there — costs
+    nothing.  Decode records only each instruction's static
+    class-statistics counters.
+
+Compiled tier
+    A block that reaches :data:`_COMPILE_THRESHOLD` executions is fused
+    into one generated Python function running the whole block as
+    straight-line code (:func:`_compile_block`).  Its
+    ``cycles``/``instructions``/instruction-class counters accumulate in
+    burst-local integers flushed once per burst.
+
+Interpreter tier
+    Cold blocks (below the threshold) and blocks the emitter cannot
+    compile (undefined opcodes, invalid condition codes) run through
+    ``core.step()`` once per instruction.  The interpreter keeps exact
+    PC and live statistics at every raise point by construction.
+
+Prefix blocks
+    An execution budget that ends inside a block runs that block's
+    *prefix* of the remaining length, so ``stop_at_instruction`` pauses
+    at the exact boundary (schedule-neutral resume for checkpoints and
+    the fault injector).  Prefixes are :class:`Block` objects cached per
+    :class:`DecodedText`, keyed by ``(start, length)``; they go through
+    the same threshold and the same compiler.  Quantum and breakpoint
+    boundaries repeat, so almost every prefix execution is compiled.
 
 Cache modelling
-    With ``model_caches`` the same decode-once/compile-hot treatment
-    applies: cold blocks run self-accounting per-instruction closures
-    (one ``caches.fetch`` per instruction, interpreter order), while
-    hot blocks compile I-side accounting per *I-cache line* — the
-    first instruction on each line performs the real ``l1i.access``
-    inline and the rest of the line's fetches are provably pure hits
-    batched as one counter delta per burst (see
+    With ``model_caches`` hot blocks compile I-side accounting per
+    *I-cache line*: the first instruction on each line performs the real
+    ``l1i.access`` inline and the rest of the line's fetches are provably
+    pure hits batched as one counter delta per burst (see
     :func:`_compile_block`).  D-side accounting is emitted inline in
     program order, so the shared L2 observes the exact interleaving of
     instruction and data misses the interpreter produces.
 
 Determinism contracts
-    The engine is bit-exact against the seed interpreter at every
-    instruction boundary:
+    The engine is bit-exact against the interpreter at every instruction
+    boundary:
 
-    * every closure that can raise (memory operations, syscalls,
-      undefined opcodes) stores its statically known next PC before
-      doing work, so a fault raised anywhere mid-block leaves the same
-      PC and — after :func:`_account_fault` replays the completed
-      prefix's counter deltas — the same statistics the interpreter
-      would have;
-    * an execution budget smaller than the current block deopts to
-      per-instruction stepping, so ``stop_at_instruction`` pauses at
-      the exact boundary (schedule-neutral resume for checkpoints and
-      the fault injector);
-    * a per-instruction ``trace_hook`` (the functional profiler)
-      forces the interpreter path entirely;
+    * every generated statement that can raise (memory operations,
+      syscalls) is preceded by a store of its statically known next PC,
+      so a fault raised anywhere mid-block leaves the interpreter's PC
+      and — after :func:`_account_fault` replays the completed prefix's
+      counter deltas — the interpreter's statistics;
+    * a block whose last op is not a terminator (a prefix, or a run that
+      falls off the end of the text) ends with an explicit PC store;
+    * a per-instruction ``trace_hook`` (the functional profiler) forces
+      the interpreter path entirely;
     * decode specializes only on the *instruction encodings* (and the
       ``model_caches`` flag), never on register or memory values, so
       register-file and memory fault injection cannot invalidate a
@@ -69,7 +76,7 @@ Determinism contracts
 Decoded text is cached per ``(text identity, text base, arch,
 model_caches, icache geometry)`` — compiled programs are shared across
 systems by the ``build_program`` LRU cache, so a whole campaign decodes
-each program once.
+and compiles each program once.
 """
 
 from __future__ import annotations
@@ -90,89 +97,53 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# condition evaluation (indexed by Cond value; shared with the slow path)
+# condition evaluation (indexed by Cond value; shared with the interpreter)
 # ---------------------------------------------------------------------------
 
-
-def _cond_eq(core):
-    return core.flag_z
-
-
-def _cond_ne(core):
-    return not core.flag_z
-
-
-def _cond_lt(core):
-    return core.flag_n != core.flag_v
-
-
-def _cond_ge(core):
-    return core.flag_n == core.flag_v
-
-
-def _cond_gt(core):
-    return (not core.flag_z) and core.flag_n == core.flag_v
-
-
-def _cond_le(core):
-    return core.flag_z or core.flag_n != core.flag_v
-
-
-def _cond_lo(core):
-    return not core.flag_c
-
-
-def _cond_hs(core):
-    return core.flag_c
-
-
-def _cond_mi(core):
-    return core.flag_n
-
-
-def _cond_pl(core):
-    return not core.flag_n
-
-
-def _cond_al(core):
-    return True
-
-
-#: ``COND_FUNCS[Cond.X]`` evaluates condition X against a core's flags.
-COND_FUNCS = (
-    _cond_eq,
-    _cond_ne,
-    _cond_lt,
-    _cond_ge,
-    _cond_gt,
-    _cond_le,
-    _cond_lo,
-    _cond_hs,
-    _cond_mi,
-    _cond_pl,
-    _cond_al,
+#: condition-code expressions over the live flags, indexed by Cond value
+_COND_EXPRS = (
+    "core.flag_z",
+    "not core.flag_z",
+    "core.flag_n != core.flag_v",
+    "core.flag_n == core.flag_v",
+    "(not core.flag_z) and core.flag_n == core.flag_v",
+    "core.flag_z or core.flag_n != core.flag_v",
+    "not core.flag_c",
+    "core.flag_c",
+    "core.flag_n",
+    "not core.flag_n",
+    "True",
 )
+
+#: ``COND_FUNCS[Cond.X]`` evaluates condition X against a core's flags
+#: (built from the same expressions the code emitter inlines).
+COND_FUNCS = tuple(eval(f"lambda core: {expr}", {"__builtins__": {}}) for expr in _COND_EXPRS)
 
 
 # ---------------------------------------------------------------------------
 # decoded representation
 # ---------------------------------------------------------------------------
 
+#: ``Block.hits`` of a block the emitter cannot compile: it never reaches
+#: the threshold again and stays on the interpreter tier.
+_UNCOMPILABLE = -1 << 40
+
 
 class Block:
-    """One superblock suffix: the run of instructions starting at ``start``.
+    """A straight-line run of ``length`` instructions starting at ``start``.
 
-    ``fast_ops`` (cache-less decode only) are bare architectural
-    closures ``op(core, gprs)`` whose statistics are applied as one
-    batched delta: ``items`` holds the aggregated instruction-class
-    counters as ``(STAT_FIELDS index, delta)`` pairs, while ``cycles``
-    and ``instructions`` advance by ``length``.  ``step_ops`` are the
-    self-accounting per-instruction closures used for the cache
-    modelling configuration and for budget-limited tail stepping.
-    ``instr_items`` keeps the per-instruction class deltas so a fault
-    raised mid-block can replay the completed prefix exactly.
-    ``recheck`` marks blocks after which the driver must re-test the
-    thread/halt state (the terminator was SVC or HALT).
+    Either the suffix of a superblock run (``DecodedText.entries``) or a
+    budget-limited prefix of one (``DecodedText.prefixes``).
+    ``instr_items`` holds each instruction's static class-statistics
+    deltas as ``(STAT_FIELDS index, delta)`` pairs, so a fault raised
+    mid-block can replay the completed prefix exactly; ``items`` is
+    their sum, applied as one batched delta after a compiled run, while
+    ``cycles`` and ``instructions`` advance by ``length``.  ``recheck``
+    marks blocks after which the driver must re-test the thread/halt
+    state (the terminator was SVC or HALT).  ``hits`` counts executions
+    on the interpreter tier until ``compiled`` — the fused function —
+    is built at :data:`_COMPILE_THRESHOLD` (``_UNCOMPILABLE`` when the
+    emitter refused the block).
 
     Cache-modelling decode additionally splits the block's instruction
     fetches into *leaders* and *repeats* (see the I-side batching notes
@@ -186,8 +157,6 @@ class Block:
     __slots__ = (
         "start",
         "length",
-        "fast_ops",
-        "step_ops",
         "items",
         "instr_items",
         "recheck",
@@ -199,28 +168,16 @@ class Block:
         "i_hit",
     )
 
-    def __init__(
-        self,
-        start,
-        length,
-        fast_ops,
-        step_ops,
-        items,
-        instr_items,
-        recheck,
-        repeat_prefix=None,
-        i_hit=0,
-    ):
+    def __init__(self, start, instr_items, recheck, repeat_prefix=None, i_hit=0):
         self.start = start
-        self.length = length
-        self.fast_ops = fast_ops
-        self.step_ops = step_ops
-        self.items = items
+        self.length = len(instr_items)
         self.instr_items = instr_items
+        totals: dict[int, int] = {}
+        for items in instr_items:
+            for index, delta in items:
+                totals[index] = totals.get(index, 0) + delta
+        self.items = tuple(sorted(totals.items()))
         self.recheck = recheck
-        #: executions on the closure/step tier; at _COMPILE_THRESHOLD the
-        #: block is fused into one generated function (None = cold or
-        #: uncompilable)
         self.hits = 0
         self.compiled = None
         self.repeat_prefix = repeat_prefix
@@ -232,16 +189,16 @@ class Block:
 class DecodedText:
     """Pre-decoded view of one text segment for one configuration."""
 
-    __slots__ = ("text", "text_base", "length", "entries", "step_ops", "model_caches", "stale", "ctx")
+    __slots__ = ("text", "text_base", "length", "entries", "prefixes", "model_caches", "stale", "ctx")
 
-    def __init__(self, text, text_base, length, entries, step_ops, model_caches, ctx):
+    def __init__(self, text, text_base, length, entries, model_caches, ctx):
         self.text = text
         self.text_base = text_base
         self.length = length
         #: ``entries[i]`` is the Block for the suffix starting at index i
         self.entries = entries
-        #: index-aligned self-accounting closures (tail stepping)
-        self.step_ops = step_ops
+        #: lazily built prefix Blocks, keyed by ``(start, length)``
+        self.prefixes: dict[tuple[int, int], Block] = {}
         self.model_caches = model_caches
         #: set by :func:`invalidate_text` when the underlying
         #: instruction list was mutated; forces a re-decode
@@ -251,598 +208,51 @@ class DecodedText:
 
 
 # ---------------------------------------------------------------------------
-# per-instruction decode: specialized closures
+# per-instruction decode: static class statistics
 # ---------------------------------------------------------------------------
-#
-# Closures have the signature ``op(core, gprs)`` where ``gprs`` is
-# ``core.regs._values`` — fetched once per block by the driver (the list
-# identity only changes in ``RegisterFile.restore``, which runs between
-# bursts; bit flips from the fault injector mutate it in place).
-#
-# Every closure that can raise stores its statically known next PC
-# *first*.  That keeps the PC architecturally exact at any raise site
-# (memory faults, syscall handlers, undefined opcodes), lets
-# _account_fault attribute an exception to the precise instruction, and
-# keeps the saved context exact when a syscall detaches the thread.
-# Branch terminators write their dynamic target instead, and the last
-# op of a run is wrapped with a PC store if it has none of its own, so
-# the PC is always correct at block exit.
+
+_INT = (("int_ops", 1),)
+_FLOAT = (("float_ops", 1),)
+
+#: Class-statistics counters ``Core.step`` commits for each opcode whose
+#: deltas do not depend on the architecture.  Dynamic counters — taken
+#: conditional branches, syscalls — are updated live by the generated
+#: code itself.
+_STATIC_ITEMS = {
+    **dict.fromkeys(
+        (Op.ADD, Op.SUB, Op.RSB, Op.MUL, Op.MULHU, Op.UDIV, Op.SDIV, Op.AND, Op.ORR, Op.EOR,
+         Op.BIC, Op.LSL, Op.LSR, Op.ASR, Op.ADDI, Op.SUBI, Op.ANDI, Op.ORRI, Op.EORI, Op.LSLI,
+         Op.LSRI, Op.ASRI, Op.MULI, Op.MOV, Op.MOVI, Op.MVN, Op.CMP, Op.CMPI, Op.TST, Op.CSET),
+        _INT,
+    ),
+    **dict.fromkeys(
+        (Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV, Op.FMIN, Op.FMAX, Op.FSQRT, Op.FNEG, Op.FABS,
+         Op.FCMP, Op.FMOV, Op.FMOVI, Op.SCVTF, Op.FCVTZS, Op.FMOVRG, Op.FMOVGR),
+        _FLOAT,
+    ),
+    Op.B: (("branches", 1), ("branches_taken", 1)),
+    Op.BCC: (("branches", 1),),
+    Op.CBZ: (("branches", 1),),
+    Op.CBNZ: (("branches", 1),),
+    Op.BL: (("branches", 1), ("branches_taken", 1), ("calls", 1)),
+    Op.BLR: (("branches", 1), ("branches_taken", 1), ("calls", 1)),
+    Op.RET: (("branches", 1), ("branches_taken", 1), ("returns", 1)),
+    Op.WFI: (("idle_cycles", 1),),
+}
 
 
-def _decode_instr(instr, index, ctx):
-    """Decode one instruction.
-
-    Returns ``(fast_op, items, sets_pc)``: the specialized closure, the
-    tuple of ``(counter_name, delta)`` static class-statistics the
-    instruction contributes (dynamic counters — taken branches,
-    syscalls — are updated live by the closure itself), and whether the
-    closure maintains ``core.pc`` on its own.
-    """
+def _static_items(instr, ctx) -> tuple:
+    """The ``(counter_name, delta)`` class statistics of one instruction."""
     op = instr.op
-    rd, rn, rm, imm = instr.rd, instr.rn, instr.rm, instr.imm
-    mask = ctx["mask"]
-    xlen = ctx["xlen"]
-    xm = xlen - 1
-    text_base = ctx["text_base"]
-    model_caches = ctx["model_caches"]
-    this_pc = text_base + 4 * index
-    next_pc = this_pc + 4
-    INT = (("int_ops", 1),)
-    FLT = (("float_ops", 1),)
-
-    # -- integer register-register ------------------------------------------
-    if op == Op.ADD:
-        def fast(core, v):
-            v[rd] = (v[rn] + v[rm]) & mask
-        return fast, INT, False
-    if op == Op.SUB:
-        def fast(core, v):
-            v[rd] = (v[rn] - v[rm]) & mask
-        return fast, INT, False
-    if op == Op.RSB:
-        def fast(core, v):
-            v[rd] = (v[rm] - v[rn]) & mask
-        return fast, INT, False
-    if op == Op.MUL:
-        def fast(core, v):
-            v[rd] = (v[rn] * v[rm]) & mask
-        return fast, INT, False
-    if op == Op.MULHU:
-        def fast(core, v):
-            v[rd] = ((v[rn] * v[rm]) >> xlen) & mask
-        return fast, INT, False
-    if op == Op.UDIV:
-        udiv = alu.unsigned_divide
-
-        def fast(core, v):
-            v[rd] = udiv(v[rn], v[rm], xlen)
-        return fast, INT, False
-    if op == Op.SDIV:
-        sdiv = alu.signed_divide
-
-        def fast(core, v):
-            v[rd] = sdiv(v[rn], v[rm], xlen)
-        return fast, INT, False
-    if op == Op.AND:
-        def fast(core, v):
-            v[rd] = v[rn] & v[rm]
-        return fast, INT, False
-    if op == Op.ORR:
-        def fast(core, v):
-            v[rd] = v[rn] | v[rm]
-        return fast, INT, False
-    if op == Op.EOR:
-        def fast(core, v):
-            v[rd] = v[rn] ^ v[rm]
-        return fast, INT, False
-    if op == Op.BIC:
-        def fast(core, v):
-            v[rd] = v[rn] & ~v[rm] & mask
-        return fast, INT, False
-    if op == Op.LSL:
-        def fast(core, v):
-            v[rd] = (v[rn] << (v[rm] & xm)) & mask
-        return fast, INT, False
-    if op == Op.LSR:
-        def fast(core, v):
-            v[rd] = v[rn] >> (v[rm] & xm)
-        return fast, INT, False
-    if op == Op.ASR:
-        asr = alu.arithmetic_shift_right
-
-        def fast(core, v):
-            v[rd] = asr(v[rn], v[rm] & xm, xlen)
-        return fast, INT, False
-
-    # -- integer register-immediate -----------------------------------------
-    if op == Op.ADDI:
-        def fast(core, v):
-            v[rd] = (v[rn] + imm) & mask
-        return fast, INT, False
-    if op == Op.SUBI:
-        def fast(core, v):
-            v[rd] = (v[rn] - imm) & mask
-        return fast, INT, False
-    if op == Op.ANDI:
-        def fast(core, v):
-            v[rd] = v[rn] & imm & mask
-        return fast, INT, False
-    if op == Op.ORRI:
-        def fast(core, v):
-            v[rd] = (v[rn] | imm) & mask
-        return fast, INT, False
-    if op == Op.EORI:
-        def fast(core, v):
-            v[rd] = (v[rn] ^ imm) & mask
-        return fast, INT, False
-    if op == Op.LSLI:
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = (v[rn] << sh) & mask
-        return fast, INT, False
-    if op == Op.LSRI:
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = v[rn] >> sh
-        return fast, INT, False
-    if op == Op.ASRI:
-        asr = alu.arithmetic_shift_right
-        sh = imm & xm
-
-        def fast(core, v):
-            v[rd] = asr(v[rn], sh, xlen)
-        return fast, INT, False
-    if op == Op.MULI:
-        def fast(core, v):
-            v[rd] = (v[rn] * imm) & mask
-        return fast, INT, False
-
-    # -- moves and compares --------------------------------------------------
-    if op == Op.MOV:
-        def fast(core, v):
-            v[rd] = v[rn]
-        return fast, INT, False
-    if op == Op.MOVI:
-        value = imm & mask
-
-        def fast(core, v):
-            v[rd] = value
-        return fast, INT, False
-    if op == Op.MVN:
-        def fast(core, v):
-            v[rd] = ~v[rn] & mask
-        return fast, INT, False
-    if op in (Op.CMP, Op.CMPI):
-        # Inlined alu.sub_flags (bit-identical): CMP dominates branchy
-        # guest code, so the three to_signed calls are worth eliding.
-        top = xlen - 1
-        sign = ctx["sign_bit"]
-        if op == Op.CMP:
-            def fast(core, v):
-                a = v[rn]
-                b = v[rm]
-                result = (a - b) & mask
-                core.flag_n = bool(result >> top)
-                core.flag_z = result == 0
-                core.flag_c = a >= b
-                sa_neg = bool(a & sign)
-                core.flag_v = sa_neg != bool(b & sign) and bool(result & sign) != sa_neg
-        else:
-            operand = alu.to_unsigned(imm, xlen)
-            op_neg = bool(operand & sign)
-
-            def fast(core, v):
-                a = v[rn]
-                result = (a - operand) & mask
-                core.flag_n = bool(result >> top)
-                core.flag_z = result == 0
-                core.flag_c = a >= operand
-                sa_neg = bool(a & sign)
-                core.flag_v = sa_neg != op_neg and bool(result & sign) != sa_neg
-        return fast, INT, False
-    if op == Op.TST:
-        top = xlen - 1
-
-        def fast(core, v):
-            result = v[rn] & v[rm]
-            core.flag_n = bool(result >> top)
-            core.flag_z = result == 0
-        return fast, INT, False
-    if op == Op.CSET:
-        cond_fn = _cond_func(instr.cond)
-        if cond_fn is None:
-            return _bad_cond_op(instr.cond, next_pc, commit_branch=False), INT, True
-
-        def fast(core, v):
-            v[rd] = 1 if cond_fn(core) else 0
-        return fast, INT, False
-
-    # -- memory ---------------------------------------------------------------
     if op in (Op.LDR, Op.LDRB):
-        size = ctx["word_bytes"] if op == Op.LDR else 1
-        items = (("loads", 1), ("bytes_read", size))
-        if rm is None:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    v[rd] = core.mem.read(address, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    v[rd] = core.mem.read((v[rn] + imm) & mask, size)
-        else:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm)) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    v[rd] = core.mem.read(address, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    v[rd] = core.mem.read((v[rn] + (v[rm] << imm)) & mask, size)
-        return fast, items, True
+        return (("loads", 1), ("bytes_read", ctx["word_bytes"] if op == Op.LDR else 1))
     if op in (Op.STR, Op.STRB):
-        size = ctx["word_bytes"] if op == Op.STR else 1
-        vmask = mask if op == Op.STR else 0xFF
-        items = (("stores", 1), ("bytes_written", size))
-        if rm is None:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    core.mem.write(address, v[rd] & vmask, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + imm) & mask, v[rd] & vmask, size)
-        else:
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm)) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    core.mem.write(address, v[rd] & vmask, size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + (v[rm] << imm)) & mask, v[rd] & vmask, size)
-        return fast, items, True
-
-    # -- control flow ---------------------------------------------------------
-    if op == Op.B:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1)), True
-    if op == Op.BCC:
-        target = text_base + 4 * imm
-        cond_fn = _cond_func(instr.cond)
-        if cond_fn is None:
-            # The interpreter commits ``branches`` before evaluating the
-            # (invalid) condition; replicate, then defer its fault.
-            return _bad_cond_op(instr.cond, next_pc, commit_branch=True), (), True
-
-        def fast(core, v):
-            if cond_fn(core):
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.CBZ:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            if v[rn] == 0:
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.CBNZ:
-        target = text_base + 4 * imm
-
-        def fast(core, v):
-            if v[rn] != 0:
-                core.stats.branches_taken += 1
-                core.pc = target
-            else:
-                core.pc = next_pc
-        return fast, (("branches", 1),), True
-    if op == Op.BL:
-        target = text_base + 4 * imm
-        lr = ctx["lr"]
-        lr_value = next_pc & mask
-
-        def fast(core, v):
-            v[lr] = lr_value
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1), ("calls", 1)), True
-    if op == Op.BLR:
-        lr = ctx["lr"]
-        lr_value = next_pc & mask
-
-        def fast(core, v):
-            target = v[rn]
-            v[lr] = lr_value
-            core.pc = target
-        return fast, (("branches", 1), ("branches_taken", 1), ("calls", 1)), True
-    if op == Op.RET:
-        lr = ctx["lr"]
-
-        def fast(core, v):
-            core.pc = v[lr]
-        return fast, (("branches", 1), ("branches_taken", 1), ("returns", 1)), True
-
-    # -- floating point -------------------------------------------------------
-    if op in (Op.FADD, Op.FSUB, Op.FMUL, Op.FMIN, Op.FMAX, Op.FDIV):
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-        if op == Op.FADD:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) + b2d(f[rm])) & fmask
-        elif op == Op.FSUB:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) - b2d(f[rm])) & fmask
-        elif op == Op.FMUL:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(b2d(f[rn]) * b2d(f[rm])) & fmask
-        elif op == Op.FMIN:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(min(b2d(f[rn]), b2d(f[rm]))) & fmask
-        elif op == Op.FMAX:
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(max(b2d(f[rn]), b2d(f[rm]))) & fmask
-        else:  # FDIV keeps the IEEE special cases of fpu.fp_binary
-            fp_binary = fpu.fp_binary
-
-            def fast(core, v):
-                f = core.fregs._values
-                f[rd] = d2b(fp_binary("div", b2d(f[rn]), b2d(f[rm]))) & fmask
-        return fast, FLT, False
-    if op == Op.FSQRT:
-        b2d, d2b, fsqrt = fpu.bits_to_double, fpu.double_to_bits, fpu.fp_sqrt
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(fsqrt(b2d(f[rn]))) & fmask
-        return fast, FLT, False
-    if op == Op.FNEG:
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(-b2d(f[rn])) & fmask
-        return fast, FLT, False
-    if op == Op.FABS:
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = d2b(abs(b2d(f[rn]))) & fmask
-        return fast, FLT, False
-    if op == Op.FCMP:
-        b2d, fcmp = fpu.bits_to_double, fpu.fp_compare
-
-        def fast(core, v):
-            f = core.fregs._values
-            core.flag_n, core.flag_z, core.flag_c, core.flag_v = fcmp(b2d(f[rn]), b2d(f[rm]))
-        return fast, FLT, False
-    if op == Op.FMOV:
-        def fast(core, v):
-            f = core.fregs._values
-            f[rd] = f[rn]
-        return fast, FLT, False
-    if op == Op.FMOVI:
-        value = imm & ctx["fmask"]
-
-        def fast(core, v):
-            core.fregs._values[rd] = value
-        return fast, FLT, False
-    if op in (Op.FLDR, Op.FSTR):
-        size = ctx["float_bytes"]
-        single = size == 4
-        b2d, d2b = fpu.bits_to_double, fpu.double_to_bits
-        b2s, s2b = fpu.bits_to_single, fpu.single_to_bits
-        fmask = ctx["fmask"]
-        # Specialized per addressing mode and cache model like LDR/STR:
-        # these are decode-time constants, so the hot closure carries no
-        # per-execution branches (or helper calls) for them.  The
-        # single-precision conversion only exists on the ARMv7 shape,
-        # whose compiler never emits hardware FP — it is kept for
-        # interpreter parity and handled in the cached variant plus the
-        # uncached conversion branch below.
-        indexed = rm is not None
-        if op == Op.FLDR:
-            items = (("loads", 1), ("float_ops", 1), ("bytes_read", size))
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm) if indexed else v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, False)
-                    bits = core.mem.read(address, size)
-                    core.fregs._values[rd] = (d2b(b2s(bits)) if single else bits) & fmask
-            elif single:
-                if indexed:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.fregs._values[rd] = (
-                            d2b(b2s(core.mem.read((v[rn] + (v[rm] << imm)) & mask, size))) & fmask
-                        )
-                else:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.fregs._values[rd] = (
-                            d2b(b2s(core.mem.read((v[rn] + imm) & mask, size))) & fmask
-                        )
-            elif indexed:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.fregs._values[rd] = core.mem.read((v[rn] + (v[rm] << imm)) & mask, size) & fmask
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.fregs._values[rd] = core.mem.read((v[rn] + imm) & mask, size) & fmask
-        else:
-            items = (("stores", 1), ("float_ops", 1), ("bytes_written", size))
-            if model_caches:
-                def fast(core, v):
-                    core.pc = next_pc
-                    address = (v[rn] + (v[rm] << imm) if indexed else v[rn] + imm) & mask
-                    core.stats.cycles += core.caches.data_access(address, True)
-                    bits = core.fregs._values[rd]
-                    core.mem.write(address, s2b(b2d(bits)) if single else bits, size)
-            elif single:
-                if indexed:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.mem.write(
-                            (v[rn] + (v[rm] << imm)) & mask, s2b(b2d(core.fregs._values[rd])), size
-                        )
-                else:
-                    def fast(core, v):
-                        core.pc = next_pc
-                        core.mem.write((v[rn] + imm) & mask, s2b(b2d(core.fregs._values[rd])), size)
-            elif indexed:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + (v[rm] << imm)) & mask, core.fregs._values[rd], size)
-            else:
-                def fast(core, v):
-                    core.pc = next_pc
-                    core.mem.write((v[rn] + imm) & mask, core.fregs._values[rd], size)
-        return fast, items, True
-    if op == Op.SCVTF:
-        d2b = fpu.double_to_bits
-        fmask = ctx["fmask"]
-        sign_bit = ctx["sign_bit"]
-        wrap = 1 << xlen
-
-        def fast(core, v):
-            value = v[rn]
-            if value & sign_bit:
-                value -= wrap
-            core.fregs._values[rd] = d2b(float(value)) & fmask
-        return fast, FLT, False
-    if op == Op.FCVTZS:
-        b2d, f2i = fpu.bits_to_double, fpu.float_to_int
-
-        def fast(core, v):
-            v[rd] = f2i(b2d(core.fregs._values[rn]), xlen)
-        return fast, FLT, False
-    if op == Op.FMOVRG:
-        fmask = ctx["fmask"]
-
-        def fast(core, v):
-            core.fregs._values[rd] = v[rn] & fmask
-        return fast, FLT, False
-    if op == Op.FMOVGR:
-        def fast(core, v):
-            v[rd] = core.fregs._values[rn] & mask
-        return fast, FLT, False
-
-    # -- system ---------------------------------------------------------------
-    if op == Op.SVC:
-        # ``syscalls`` is committed live (before the handler) so a
-        # handler-raised GuestFault leaves exactly the interpreter's
-        # counter state; cycles/instructions stay burst-accounted.
-        def fast(core, v):
-            core.pc = next_pc
-            core.stats.syscalls += 1
-            handler = core.syscall_handler
-            if handler is None:
-                raise SimulatorError("SVC executed but no syscall handler installed (bare-metal core)")
-            handler(core, imm)
-        return fast, (), True
-    if op == Op.NOP:
-        def fast(core, v):
-            pass
-        return fast, (), False
-    if op == Op.HALT:
-        def fast(core, v):
-            core.pc = next_pc
-            core.halted = True
-        return fast, (), True
-    if op == Op.WFI:
-        def fast(core, v):
-            pass
-        return fast, (("idle_cycles", 1),), False
-
-    # -- undefined opcode: defer the interpreter's fault to execute time ------
-    def fast(core, v):
-        core.pc = next_pc
-        raise InstructionFault(
-            f"undefined opcode {op!r} at {this_pc:#x}", address=this_pc, core_id=core.core_id
-        )
-    return fast, (), True
-
-
-def _cond_func(cond):
-    """The condition evaluator for a decoded BCC/CSET (None if invalid)."""
-    if isinstance(cond, int) and 0 <= cond < len(COND_FUNCS):
-        return COND_FUNCS[cond]
-    return None
-
-
-def _bad_cond_op(cond, next_pc, commit_branch):
-    """Mirrors the interpreter for an invalid condition code: the fault
-    is deferred to execute time, with the PC already advanced (and, for
-    BCC, the ``branches`` counter already committed)."""
-    def fast(core, v):
-        core.pc = next_pc
-        if commit_branch:
-            core.stats.branches += 1
-        raise SimulatorError(f"unknown condition {cond!r}")
-    return fast
-
-
-def _with_pc(fast, next_pc):
-    """Wrap a PC-less closure so it advances the PC (run-final ops)."""
-    def op(core, v):
-        core.pc = next_pc
-        fast(core, v)
-    return op
-
-
-def _make_step_op(fast, items, this_pc, sets_pc, model_caches):
-    """Self-accounting per-instruction closure (interpreter-exact order)."""
-    next_pc = this_pc + 4
-    if model_caches:
-        def step_op(core, v):
-            stats = core.stats
-            stats.cycles += core.caches.fetch(this_pc)
-            if not sets_pc:
-                core.pc = next_pc
-            fast(core, v)
-            for name, delta in items:
-                setattr(stats, name, getattr(stats, name) + delta)
-            stats.instructions += 1
-    else:
-        def step_op(core, v):
-            stats = core.stats
-            stats.cycles += 1
-            if not sets_pc:
-                core.pc = next_pc
-            fast(core, v)
-            for name, delta in items:
-                setattr(stats, name, getattr(stats, name) + delta)
-            stats.instructions += 1
-    return step_op
+        return (("stores", 1), ("bytes_written", ctx["word_bytes"] if op == Op.STR else 1))
+    if op == Op.FLDR:
+        return (("loads", 1), ("float_ops", 1), ("bytes_read", ctx["float_bytes"]))
+    if op == Op.FSTR:
+        return (("stores", 1), ("float_ops", 1), ("bytes_written", ctx["float_bytes"]))
+    return _STATIC_ITEMS.get(op, ())
 
 
 # ---------------------------------------------------------------------------
@@ -861,11 +271,11 @@ def decode_text(text, text_base, arch, model_caches, icache=None):
     """Decode ``text`` (cached) for one architecture/configuration.
 
     ``icache`` is the L1 instruction cache's :class:`CacheConfig` when
-    ``model_caches`` is set: the cached compile tier bakes its line
-    geometry and hit latency into the per-block fetch batching, so the
-    cache key must distinguish icache geometries.  Cache-modelling
-    decode without ``icache`` stays valid (and interpreter-exact) but
-    never compiles — blocks stay on the self-accounting step tier.
+    ``model_caches`` is set: the compiled tier bakes its line geometry
+    and hit latency into the per-block fetch batching, so the cache key
+    must distinguish icache geometries.  Cache-modelling decode without
+    ``icache`` stays valid (and interpreter-exact) but never compiles —
+    every block runs on the interpreter tier.
     """
     icache_key = (
         (icache.line_bytes, icache.hit_latency) if (model_caches and icache is not None) else None
@@ -902,8 +312,35 @@ def invalidate_text(text) -> int:
 
 
 def decode_cache_info() -> dict:
-    """Introspection helper for tests and docs."""
-    return {"entries": len(_DECODE_CACHE), "capacity": _DECODE_CACHE_CAPACITY}
+    """Occupancy and tier state of the decode cache (tests, docs, benchmarks).
+
+    Counted by walking the cached entries, so the hot path carries no
+    counters: ``blocks`` are superblock suffix entries, of which
+    ``compiled`` run fused and ``uncompilable`` were refused by the
+    emitter; ``prefixes`` are the budget-tail prefix blocks built so
+    far, of which ``compiled_prefixes`` run fused.
+    """
+    info = {
+        "entries": len(_DECODE_CACHE),
+        "capacity": _DECODE_CACHE_CAPACITY,
+        "blocks": 0,
+        "compiled": 0,
+        "uncompilable": 0,
+        "prefixes": 0,
+        "compiled_prefixes": 0,
+    }
+    for decoded in _DECODE_CACHE.values():
+        info["blocks"] += len(decoded.entries)
+        for block in decoded.entries:
+            if block.compiled is not None:
+                info["compiled"] += 1
+            elif block.hits == _UNCOMPILABLE:
+                info["uncompilable"] += 1
+        info["prefixes"] += len(decoded.prefixes)
+        info["compiled_prefixes"] += sum(
+            1 for block in decoded.prefixes.values() if block.compiled is not None
+        )
+    return info
 
 
 #: Canonical counter order for index-based stat deltas (matches the
@@ -928,10 +365,6 @@ STAT_FIELDS = (
 _STAT_INDEX = {name: index for index, name in enumerate(STAT_FIELDS)}
 
 
-def _index_items(items):
-    return tuple((_STAT_INDEX[name], delta) for name, delta in items)
-
-
 def _decode_uncached(text, text_base, arch, model_caches, icache=None):
     n = len(text)
     ctx = {
@@ -945,106 +378,86 @@ def _decode_uncached(text, text_base, arch, model_caches, icache=None):
         "text_base": text_base,
         "model_caches": bool(model_caches),
         # L1i geometry for the cached compile tier (None = unknown:
-        # decode stays valid but blocks never leave the step tier).
+        # decode stays valid but blocks never leave the interpreter).
         "i_line_shift": None,
         "i_hit": 0,
     }
     if model_caches and icache is not None:
         ctx["i_line_shift"] = icache.line_bytes.bit_length() - 1
         ctx["i_hit"] = icache.hit_latency
-    fasts = [None] * n
-    all_items = [None] * n
-    step_ops = [None] * n
-    terminator = [False] * n
-    recheck = [False] * n
-    for index in range(n):
-        instr = text[index]
-        fast, items, sets_pc = _decode_instr(instr, index, ctx)
-        step_ops[index] = _make_step_op(fast, items, text_base + 4 * index, sets_pc, model_caches)
-        if not sets_pc and index + 1 == n:
-            # Run-final op without its own PC store: only possible when
-            # the run falls off the end of the text (terminators all set
-            # the PC).  Wrap it so the PC is exact at block exit and the
-            # out-of-range fetch fault that follows reports the
-            # interpreter's exact address.
-            fast = _with_pc(fast, text_base + 4 * index + 4)
-        fasts[index] = fast
-        all_items[index] = items
-        terminator[index] = instr.op in BLOCK_TERMINATOR_OPS
-        recheck[index] = instr.op in (Op.SVC, Op.HALT)
+    line_shift = ctx["i_line_shift"]
+    instr_items = [
+        tuple((_STAT_INDEX[name], delta) for name, delta in _static_items(instr, ctx))
+        for instr in text
+    ]
 
     entries = [None] * n
     start = 0
     while start < n:
         end = start
-        while end < n and not terminator[end]:
+        while end < n and text[end].op not in BLOCK_TERMINATOR_OPS:
             end += 1
         if end < n:
             end += 1  # include the terminator in its run
-        run_fasts = fasts[start:end]
-        run_items = all_items[start:end]
-        run_steps = step_ops[start:end]
-        run_recheck = recheck[end - 1]
-        line_shift = ctx["i_line_shift"]
-        if line_shift is not None:
-            # An instruction is a *repeat* fetch when the previous
-            # instruction of the run sits on the same I-cache line
-            # (consecutive PCs make the line sequence monotonic, so each
-            # line is one contiguous stretch).  A suffix block's first
-            # instruction is always a leader — the engine cannot know
-            # the line is resident at a branched-to block entry.
-            rep = [
-                0
-                if i == start
-                else int((text_base + 4 * i) >> line_shift == (text_base + 4 * (i - 1)) >> line_shift)
-                for i in range(start, end)
-            ]
-        # Suffix sums from the back: every index of the run gets its own
-        # Block sharing the decoded closures.
-        for offset in range(end - start - 1, -1, -1):
-            suffix_items: dict[str, int] = {}
-            for items in run_items[offset:]:
-                for name, delta in items:
-                    suffix_items[name] = suffix_items.get(name, 0) + delta
+        recheck = text[end - 1].op in (Op.SVC, Op.HALT)
+        for first in range(start, end):
             repeat_prefix = None
             if line_shift is not None:
-                prefix = []
+                # An instruction is a *repeat* fetch when the previous
+                # instruction of the block sits on the same I-cache line
+                # (consecutive PCs make the line sequence monotonic, so
+                # each line is one contiguous stretch).  A block's first
+                # instruction is always a leader — the engine cannot know
+                # the line is resident at a branched-to block entry.
                 total = 0
-                for k in range(offset, end - start):
-                    if k > offset:  # position 0 of the suffix is a forced leader
-                        total += rep[k]
+                prefix = []
+                for i in range(first, end):
+                    if i > first and (text_base + 4 * i) >> line_shift == (text_base + 4 * i - 4) >> line_shift:
+                        total += 1
                     prefix.append(total)
                 repeat_prefix = tuple(prefix)
-            entries[start + offset] = Block(
-                start=start + offset,
-                length=end - start - offset,
-                fast_ops=None if model_caches else tuple(run_fasts[offset:]),
-                step_ops=tuple(run_steps[offset:]),
-                items=_index_items(sorted(suffix_items.items())),
-                instr_items=tuple(_index_items(items) for items in run_items[offset:]),
-                recheck=run_recheck,
-                repeat_prefix=repeat_prefix,
-                i_hit=ctx["i_hit"],
+            entries[first] = Block(
+                first, tuple(instr_items[first:end]), recheck, repeat_prefix, ctx["i_hit"]
             )
         start = end
-    return DecodedText(text, text_base, n, entries, step_ops, bool(model_caches), ctx)
+    return DecodedText(text, text_base, n, entries, bool(model_caches), ctx)
+
+
+def _prefix_block(decoded, block, length):
+    """The cached ``length``-instruction prefix of ``block``.
+
+    A prefix is strictly shorter than its block, so it never holds the
+    SVC/HALT terminator and needs no thread/halt re-check.
+    """
+    key = (block.start, length)
+    prefix = decoded.prefixes.get(key)
+    if prefix is None:
+        prefix = decoded.prefixes[key] = Block(
+            block.start,
+            block.instr_items[:length],
+            False,
+            block.repeat_prefix[:length] if block.repeat_prefix else None,
+            block.i_hit,
+        )
+    return prefix
 
 
 # ---------------------------------------------------------------------------
 # superblock compilation (the hot tier)
 # ---------------------------------------------------------------------------
 #
-# A block that stays hot on the closure tier is fused into one generated
-# Python function executing the whole run as straight-line code — no
-# per-instruction call, loop or dispatch overhead at all.  The generated
-# source mirrors the closures' semantics statement for statement (the
-# differential tests run hot workloads, so both tiers are exercised
-# against the interpreter).  Compilation is lazy so decode stays cheap
-# for short-lived programs (unit tests); campaigns re-execute the same
-# few hundred blocks millions of times, amortizing the one-time
-# ``compile()`` cost to nothing.
+# A block that stays hot on the interpreter tier is fused into one
+# generated Python function executing the whole run as straight-line
+# code — no per-instruction call, loop or dispatch overhead at all.  The
+# generated source mirrors ``Core.step``'s handlers statement for
+# statement (the differential tests run hot workloads and force
+# compilation, so the emitter is checked against the interpreter).
+# Compilation is lazy so decode stays cheap for short-lived programs
+# (unit tests); campaigns re-execute the same few hundred blocks
+# millions of times, amortizing the one-time ``compile()`` cost to
+# nothing.
 
-#: closure-tier executions after which a block is fused
+#: interpreter-tier executions after which a block is fused
 _COMPILE_THRESHOLD = 4
 
 _CODEGEN_GLOBALS = {
@@ -1068,28 +481,13 @@ _CODEGEN_GLOBALS = {
     "SimulatorError": SimulatorError,
 }
 
-#: condition-code expressions over the live flags, indexed by Cond value
-_COND_EXPRS = (
-    "core.flag_z",
-    "not core.flag_z",
-    "core.flag_n != core.flag_v",
-    "core.flag_n == core.flag_v",
-    "(not core.flag_z) and core.flag_n == core.flag_v",
-    "core.flag_z or core.flag_n != core.flag_v",
-    "not core.flag_c",
-    "core.flag_c",
-    "core.flag_n",
-    "not core.flag_n",
-    "True",
-)
-
 
 def _emit_instr(instr, index, ctx, lines) -> bool:
     """Append the straight-line source for one instruction to ``lines``.
 
     Returns False when the instruction cannot be compiled (undefined
-    opcode, invalid condition code) — the block then stays on the
-    closure tier, which already defers those faults to execute time.
+    opcode, invalid condition code): the block then stays on the
+    interpreter tier, which raises those faults at execute time.
     """
     op = instr.op
     rd, rn, rm, imm = instr.rd, instr.rn, instr.rm, instr.imm
@@ -1308,7 +706,7 @@ def _emit_instr(instr, index, ctx, lines) -> bool:
         lines.append(f"core.pc = {next_pc}")
         lines.append("core.halted = True")
     else:
-        return False  # undefined opcode: stays on the closure tier
+        return False  # undefined opcode: stays on the interpreter tier
     return True
 
 
@@ -1325,9 +723,9 @@ _FP_SRC_OPS = frozenset(
 def _compile_block(block, decoded):
     """Fuse one block into a single generated function, or None.
 
-    The function has the closure/step tier's exact semantics: same PC
-    stores before raising operations, same live counters
-    (``branches_taken``, ``syscalls``), same final PC.  The batched
+    The function has the interpreter's exact semantics: a PC store
+    before every raising operation, the same live counters
+    (``branches_taken``, ``syscalls``), the same final PC.  The batched
     block delta still comes from the driver.
 
     Cache modelling: every PC of a straight-line block is known here,
@@ -1349,7 +747,7 @@ def _compile_block(block, decoded):
     model_caches = decoded.model_caches
     line_shift = ctx["i_line_shift"]
     if model_caches and line_shift is None:
-        return None  # no icache geometry at decode time: stay on the step tier
+        return None  # no icache geometry at decode time: stay on the interpreter
     start = block.start
     end = start + block.length
     lines: list[str] = []
@@ -1374,10 +772,10 @@ def _compile_block(block, decoded):
             prev_line = iline
         if not _emit_instr(instr, index, ctx, lines):
             return None
-    last = text[end - 1]
-    if end == decoded.length and last.op not in BLOCK_TERMINATOR_OPS:
-        # Run falls off the end of the text: leave the interpreter's
-        # exact PC for the out-of-range fetch fault that follows.
+    if text[end - 1].op not in BLOCK_TERMINATOR_OPS:
+        # A prefix, or a run that falls off the end of the text: leave
+        # the interpreter's exact PC for whatever executes next (for the
+        # latter, the out-of-range fetch fault that follows).
         lines.append(f"core.pc = {ctx['text_base'] + 4 * end}")
     # Hoisted per-block bindings: the address space never changes
     # mid-block (only syscalls swap it, and SVC is always block-final);
@@ -1393,8 +791,6 @@ def _compile_block(block, decoded):
         lines.insert(0, "st = core.stats")
     if needs_f:
         lines.insert(0, "f = core.fregs._values")
-    if not lines:
-        lines.append("pass")
     source = "def _block(core, v):\n" + "\n".join("    " + line for line in lines)
     namespace: dict = {}
     exec(compile(source, f"<superblock@{ctx['text_base'] + 4 * start:#x}>", "exec"), _CODEGEN_GLOBALS, namespace)
@@ -1407,15 +803,16 @@ def _compile_block(block, decoded):
 
 
 def _account_fault(core, acc, block) -> None:
-    """Replay the statistics of a batched block interrupted by an exception.
+    """Replay the statistics of a compiled block interrupted by an exception.
 
-    Every closure that can raise stores its next PC before doing work,
-    so the PC at the raise site identifies the faulting instruction.
-    The interpreter would have committed: all counters of the completed
-    prefix, plus the fetch cycle of the faulting instruction (its class
-    counters and the ``instructions`` increment never happen — matching
-    ``Core.step``'s raise points exactly).  Deltas land in the burst
-    accumulator, which the driver flushes before the exception leaves.
+    Every generated statement that can raise is preceded by a store of
+    its next PC, so the PC at the raise site identifies the faulting
+    instruction.  The interpreter would have committed: all counters of
+    the completed prefix, plus the fetch cycle of the faulting
+    instruction (its class counters and the ``instructions`` increment
+    never happen — matching ``Core.step``'s raise points exactly).
+    Deltas land in the burst accumulator, which the driver flushes
+    before the exception leaves.
     """
     j = ((core.pc - core.text_base) >> 2) - 1 - block.start
     if j < 0:
@@ -1480,10 +877,11 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
     state tests run on entry and after SVC/HALT blocks (the only ops
     that can change them).  Returns the executed instruction count.
 
-    Batched-block statistics accumulate in burst-local counters and are
-    flushed to ``core.stats`` on every exit path (including a mid-block
-    guest fault, where :func:`_account_fault` first reconstructs the
-    interrupted block's exact prefix), so the counters are
+    Compiled-block statistics accumulate in burst-local counters and
+    are flushed to ``core.stats`` on every exit path (including a
+    mid-block guest fault, where :func:`_account_fault` first
+    reconstructs the interrupted block's exact prefix); interpreter-tier
+    blocks commit their counters live.  The counters are therefore
     interpreter-exact whenever control leaves this function.  Syscall
     handlers run mid-burst and must not read ``core.stats`` — none do:
     the kernel touches counters only via ``attach`` during scheduling,
@@ -1519,86 +917,50 @@ def execute_burst(core, decoded, budget: int, stop_on_halt: bool) -> int:
                 )
             block = entries[index]
             blen = block.length
-            if blen <= budget - executed:
-                gprs = regs._values
-                compiled = block.compiled
+            if blen > budget - executed:
+                # The budget ends inside this block: run its prefix so
+                # stop_at_instruction pauses on the precise boundary.
+                blen = budget - executed
+                block = _prefix_block(decoded, block, blen)
+            compiled = block.compiled
+            if compiled is None:
+                hits = block.hits = block.hits + 1
+                if hits >= _COMPILE_THRESHOLD:
+                    compiled = block.compiled = _compile_block(block, decoded)
+                    if compiled is None:
+                        block.hits = _UNCOMPILABLE
                 if compiled is None:
-                    hits = block.hits = block.hits + 1
-                    if hits >= _COMPILE_THRESHOLD:
-                        compiled = block.compiled = _compile_block(block, decoded)
-                        if compiled is None:
-                            block.hits = -1 << 40  # uncompilable: stop trying
-                if compiled is not None:
-                    # Hot tier: the whole run as one fused function.
-                    # Statistics land as one batched delta; with caches
-                    # modelled, leader fetches and D-accesses were
-                    # accounted inline and only the repeat-fetch hits
-                    # ride the accumulator (slot 15 -> L1i counters).
-                    try:
-                        compiled(core, gprs)
-                    except BaseException:
-                        if model_caches:
-                            _account_fault_cached(core, acc, block)
-                        else:
-                            _account_fault(core, acc, block)
-                        raise
-                    acc[0] += blen
-                    if model_caches:
-                        acc[1] += block.i_repeat_cycles
-                        acc[15] += block.i_repeats
-                    else:
-                        acc[1] += blen
-                    for stat_index, delta in block.items:
-                        acc[stat_index] += delta
+                    # Interpreter tier: exact PC and live statistics at
+                    # every raise point, no accounting needed here.
+                    step = core.step
+                    for _ in range(blen):
+                        step()
                     executed += blen
-                elif block.fast_ops is not None:
-                    # Cache-less closure tier (cold blocks): batched
-                    # statistics over the bare architectural closures.
-                    try:
-                        for op in block.fast_ops:
-                            op(core, gprs)
-                    except BaseException:
-                        _account_fault(core, acc, block)
-                        raise
-                    acc[0] += blen
-                    acc[1] += blen
-                    for stat_index, delta in block.items:
-                        acc[stat_index] += delta
-                    executed += blen
+                    check_state = block.recheck
+                    continue
+            # Compiled tier: the whole block as one fused function.
+            # Statistics land as one batched delta; with caches
+            # modelled, leader fetches and D-accesses were accounted
+            # inline and only the repeat-fetch hits ride the
+            # accumulator (slot 15 -> L1i counters).
+            try:
+                compiled(core, regs._values)
+            except BaseException:
+                if model_caches:
+                    _account_fault_cached(core, acc, block)
                 else:
-                    # Cache-modelling cold tier: per-instruction fetch
-                    # latencies via the self-accounting closures (still
-                    # one bounds check per block, zero dispatch cost).
-                    for op in block.step_ops:
-                        op(core, gprs)
-                    executed += blen
-                check_state = block.recheck
+                    _account_fault(core, acc, block)
+                raise
+            acc[0] += blen
+            if model_caches:
+                acc[1] += block.i_repeat_cycles
+                acc[15] += block.i_repeats
             else:
-                # The budget ends inside this block: deopt to exact
-                # per-instruction stepping so stop_at_instruction pauses
-                # on the precise boundary (schedule-neutral resume).
-                step_ops = decoded.step_ops
-                while executed < budget:
-                    if core.thread is not thread:
-                        break
-                    if stop_on_halt and core.halted:
-                        break
-                    pc = core.pc
-                    offset = pc - base
-                    if offset & 0x3:
-                        raise AlignmentFault(
-                            f"misaligned instruction fetch at {pc:#x}", address=pc, core_id=core.core_id
-                        )
-                    index = offset >> 2
-                    if index < 0 or index >= length:
-                        raise InstructionFault(
-                            f"instruction fetch outside text segment at {pc:#x}",
-                            address=pc,
-                            core_id=core.core_id,
-                        )
-                    step_ops[index](core, regs._values)
-                    executed += 1
-                break
+                acc[1] += blen
+            for stat_index, delta in block.items:
+                acc[stat_index] += delta
+            executed += blen
+            check_state = block.recheck
     finally:
         _flush(stats, acc)
         repeats = acc[15]

@@ -214,14 +214,18 @@ class FaultInjector:
         """Attach the architectural-commit sink for ``fault`` to ``system``.
 
         Pending line corruption travels inside cache snapshots, but the
-        sink is a live closure over one system's cache and address
-        space — it must be re-attached whenever the run continues on a
+        sink is a live closure over one system's address space — it
+        must be re-attached whenever the run continues on a
         freshly built system (rollback restores during recovery).
         """
         cache = self._target_cache(system, fault)
         space = system.kernel.processes[
             fault.process_index % len(system.kernel.processes)
         ].address_space
+        # The line size as a plain int: a sink closing over the cache
+        # would be a cache <-> sink reference cycle keeping the system
+        # (and this address space) alive until a GC pass.
+        line_bytes = cache.line_base(1)
 
         def sink(line: int, byte_offset: int, bit: int) -> None:
             # The corrupted copy became architecturally visible: commit the
@@ -229,7 +233,7 @@ class FaultInjector:
             # does not respect page protections, but a line outside the
             # process image (or a read-only text line, whose semantics come
             # from the decoded program) has nothing architectural to corrupt.
-            address = cache.line_base(line) + byte_offset
+            address = line * line_bytes + byte_offset
             segment = space.find_segment(address)
             if segment is None or not segment.perms.write:
                 return

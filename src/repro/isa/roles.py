@@ -2,7 +2,7 @@
 
 Until now the def/use behaviour of the instruction set lived implicitly
 in the interpreter's handlers (:mod:`repro.cpu.core`) and, duplicated,
-in the block engine's closures — fine for execution, useless for
+in the block engine's code emitter — fine for execution, useless for
 analysis.  The static vulnerability analysis (:mod:`repro.staticlint`)
 needs to know, per instruction, which registers are *defined* (written)
 and which are *used* (read), including the implicit ones the assembly
@@ -50,7 +50,7 @@ _ABI_TOKENS = (LR, RET_REG, ARG_REGS)
 FLAG_N, FLAG_Z, FLAG_C, FLAG_V = "N", "Z", "C", "V"
 ALL_FLAGS: FrozenSet[str] = frozenset((FLAG_N, FLAG_Z, FLAG_C, FLAG_V))
 
-#: Flags each condition code reads (mirrors ``COND_FUNCS`` in
+#: Flags each condition code reads (mirrors ``_COND_EXPRS`` in
 #: :mod:`repro.cpu.engine`: EQ/NE test Z, LT/GE test N^V, GT/LE test
 #: Z and N^V, LO/HS test C, MI/PL test N, AL tests nothing).
 COND_FLAG_USES: dict[Cond, FrozenSet[str]] = {

@@ -11,6 +11,7 @@ Unexpected Terminations.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Optional
 
@@ -32,7 +33,10 @@ class Kernel:
     """Guest operating system kernel for one simulated multicore system."""
 
     def __init__(self, system, quantum: int = 20_000):
-        self.system = system
+        # Weak back-reference: the system owns the kernel, and every core
+        # holds a bound ``handle_syscall``, so a strong one would make the
+        # whole system graph cyclic garbage that only a GC pass frees.
+        self._system = weakref.ref(system)
         self.loader = ProgramLoader(system.arch)
         self.scheduler = RoundRobinScheduler(quantum=quantum)
         self.processes: list[Process] = []
@@ -52,6 +56,11 @@ class Kernel:
         # the run coast to deadlock/termination.
         self.recovery_mode = False
         self.detection_event: Optional[dict] = None
+
+    @property
+    def system(self):
+        """The owning :class:`~repro.soc.multicore.MulticoreSystem`."""
+        return self._system()
 
     # ------------------------------------------------------------------
     # process / thread creation

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -26,10 +27,16 @@ class ProcessState(Enum):
 
 @dataclass
 class Thread:
-    """A schedulable guest thread."""
+    """A schedulable guest thread.
+
+    ``process`` is a weak back-reference: the process owns its threads
+    (and its waiter lists name them), so a strong one would make every
+    process — address space included — cyclic garbage that only a GC
+    pass frees.  The kernel's process list keeps processes alive.
+    """
 
     tid: int
-    process: "Process"
+    process: InitVar[Process]
     context: Optional[CoreContext] = None
     state: ThreadState = ThreadState.READY
     core_id: Optional[int] = None
@@ -46,8 +53,16 @@ class Thread:
     def name(self) -> str:
         return f"{self.process.name}.t{self.tid}"
 
+    def __post_init__(self, process: Process) -> None:
+        self._process = weakref.ref(process)
+
     def is_live(self) -> bool:
         return self.state not in (ThreadState.EXITED,)
+
+
+# Installed after the dataclass is built: a property in the class body
+# would become the ``process`` init argument's default value.
+Thread.process = property(lambda self: self._process(), doc="The thread's process.")
 
 
 @dataclass

@@ -11,6 +11,7 @@ injections and the watchdog contract.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -217,10 +218,40 @@ def test_random_programs_bit_identical(arch, seed):
     assert _state(eng_core) == _state(ref_core)
 
 
+def _count_engine_steps(monkeypatch) -> list[int]:
+    """Count ``Core.step`` calls made by engine cores (the interpreter tier)."""
+    calls = [0]
+    step = Core.step
+
+    def counting_step(core):
+        if core.use_engine:
+            calls[0] += 1
+        step(core)
+
+    monkeypatch.setattr(Core, "step", counting_step)
+    return calls
+
+
+def _assert_all_compiled(decoded_texts, interpreter_steps) -> None:
+    """At threshold 1 every block and budget-tail prefix must run fused.
+
+    A silent fallback — to the interpreter tier, or a prefix that never
+    compiles — would pass the differential while losing the whole point
+    of the compiled path.
+    """
+    assert interpreter_steps == 0
+    blocks = [block for decoded in decoded_texts for block in decoded.entries if block.hits]
+    prefixes = [block for decoded in decoded_texts for block in decoded.prefixes.values()]
+    assert blocks and prefixes
+    assert all(block.compiled is not None for block in blocks + prefixes)
+
+
 @pytest.mark.parametrize("arch", [ARMV7, ARMV8], ids=["armv7", "armv8"])
 def test_random_programs_compiled_tier(arch, monkeypatch):
     """Force immediate superblock compilation and re-run the differential."""
     monkeypatch.setattr(block_engine, "_COMPILE_THRESHOLD", 1)
+    steps = _count_engine_steps(monkeypatch)
+    decoded_texts = []
     for seed in range(8):
         rng = random.Random(5000 + seed)
         text = random_program(rng, arch)
@@ -229,6 +260,9 @@ def test_random_programs_compiled_tier(arch, monkeypatch):
         assert type(eng_error) is type(ref_error)
         assert eng_executed == ref_executed
         assert _state(eng_core) == _state(ref_core)
+        if eng_core._decoded is not None:
+            decoded_texts.append(eng_core._decoded)
+    _assert_all_compiled(decoded_texts, steps[0])
 
 
 def test_engine_pause_at_every_boundary_matches_interpreter():
@@ -274,7 +308,8 @@ def test_random_programs_with_caches_bit_identical(arch, seed):
 def test_random_programs_with_caches_compiled_tier(arch, monkeypatch):
     """Force immediate superblock compilation on the cached tier."""
     monkeypatch.setattr(block_engine, "_COMPILE_THRESHOLD", 1)
-    compiled_blocks = 0
+    steps = _count_engine_steps(monkeypatch)
+    decoded_texts = []
     for seed in range(6):
         rng = random.Random(9000 + seed)
         text = random_program(rng, arch)
@@ -284,13 +319,9 @@ def test_random_programs_with_caches_compiled_tier(arch, monkeypatch):
         assert eng_executed == ref_executed
         assert _full_state(eng_core) == _full_state(ref_core)
         if eng_core._decoded is not None:
-            compiled_blocks += sum(
-                1 for block in eng_core._decoded.entries if block.compiled is not None
-            )
-    # the cached configuration must actually reach the fused tier —
-    # a silent fallback to step closures would pass the differential
-    # while losing the whole point of this path
-    assert compiled_blocks > 0
+            decoded_texts.append(eng_core._decoded)
+    # the cached configuration must actually reach the fused tier
+    _assert_all_compiled(decoded_texts, steps[0])
 
 
 def test_engine_pause_at_every_boundary_with_caches():
@@ -435,6 +466,38 @@ class TestInvalidation:
         core.halted = False
         core.run(10)
         assert core.regs.read(1) == 9
+
+    def test_decode_cache_info_counts_tiers(self, monkeypatch):
+        """decode_cache_info walks the cache: blocks, compiled and
+        uncompilable blocks, budget-tail prefixes and compiled ones."""
+        monkeypatch.setattr(block_engine, "_DECODE_CACHE", OrderedDict())
+
+        class FakeOp(int):
+            pass
+
+        text = [
+            Instr(Op.MOVI, rd=2, imm=40),
+            Instr(Op.SUBI, rd=2, rn=2, imm=1),  # loop body: 3-instruction block
+            Instr(Op.NOP),
+            Instr(Op.CBNZ, rn=2, imm=1),
+            Instr(FakeOp(999)),  # undefined: the block cannot compile
+            Instr(Op.HALT),
+        ]
+        core = bare_core(ARMV8)
+        core.text = text
+        with pytest.raises(InstructionFault):
+            while True:
+                core.run_burst(2)  # budgets keep ending mid-block
+        for _ in range(block_engine._COMPILE_THRESHOLD):
+            core.pc = 4 * 4
+            with pytest.raises(InstructionFault):
+                core.run_burst(2)
+        info = block_engine.decode_cache_info()
+        assert info["entries"] == 1
+        assert info["blocks"] == len(text)
+        assert info["compiled"] >= 1
+        assert info["uncompilable"] == 1
+        assert info["prefixes"] >= info["compiled_prefixes"] >= 1
 
     def test_decode_cache_shared_and_bounded(self):
         info = block_engine.decode_cache_info()

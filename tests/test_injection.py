@@ -1,5 +1,8 @@
 """Tests of the fault injection framework: model, classifier, injector, campaign."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulatorError
@@ -14,6 +17,7 @@ from repro.injection.classify import (
     total_mismatch,
 )
 from repro.injection.fault import FaultDescriptor, FaultModel, TARGET_GPR, TARGET_PC
+from repro.injection import injector as injector_module
 from repro.injection.golden import GoldenRunner
 from repro.injection.injector import FaultInjector
 from repro.npb.suite import Scenario
@@ -173,6 +177,44 @@ class TestInjector:
         assert record["scenario_id"] == golden_is_armv8.scenario.scenario_id
         assert record["outcome"] in {o.value for o in Outcome}
         assert record["injection_time"] == 100
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario("IS", "mpi", 2, "armv8"), Scenario("IS", "omp", 2, "armv8", hardening="dwc+rec")],
+        ids=["mpi", "dwc+rec"],
+    )
+    def test_injection_systems_freed_by_refcount(self, scenario, monkeypatch):
+        """Every system an injection builds (rollback restores included)
+        is freed by reference counting alone: no reference cycle keeps
+        it, or its processes' address spaces, alive until a GC pass."""
+        systems = []
+        create_system = injector_module.create_system
+
+        def recording_create_system(*args, **kwargs):
+            system = create_system(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(injector_module, "create_system", recording_create_system)
+        mix = {"gpr": 0.4, "pc": 0.2, "memory": 0.2, "cache": 0.2}
+        campaign = ScenarioCampaign(scenario, CampaignConfig(faults_per_scenario=16, seed=31, target_mix=mix))
+        faults = campaign.build_fault_list()
+        injector = FaultInjector(scenario, campaign.golden)
+        built = 0
+        gc.collect()
+        gc.disable()
+        try:
+            for fault in faults:
+                systems.clear()
+                injector.run_one(fault)
+                built += len(systems)
+                assert systems and all(ref() is None for ref in systems), fault
+            unreachable = gc.collect()  # cyclic garbage left by the injections
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        if injector.recovery_retries is not None:
+            assert built > len(faults)  # rollback restores were covered too
 
 
 class TestGoldenRunner:

@@ -76,8 +76,12 @@ class TestLoader:
 
 
 class TestScheduler:
+    #: Threads reference their process weakly (the kernel's process list
+    #: owns it), so the stand-in process must outlive the threads.
+    _process = type("P", (), {"is_live": lambda self: True})()
+
     def _thread(self):
-        return Thread(tid=1, process=type("P", (), {"is_live": lambda self: True})())
+        return Thread(tid=1, process=self._process)
 
     def test_fifo_order(self):
         scheduler = RoundRobinScheduler()
