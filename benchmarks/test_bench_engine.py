@@ -42,8 +42,8 @@ SEED_NO_CACHES_MIPS = 1.08
 
 #: PR 5 record of the with-caches shape before the cached compile tier:
 #: engine 0.77 MIPS / 1.17x over the slow path on this workload family
-#: (see ROADMAP PR 5 notes; BENCH_PR5.json measured 2.0 MIPS on the
-#: short IS run whose compile tier was already warm).
+#: (see ROADMAP PR 5 notes; the retired PR 5 record measured 2.0 MIPS
+#: on the short IS run whose compile tier was already warm).
 PR5_WITH_CACHES_SPEEDUP = 1.17
 
 #: Engine must beat the (already sped-up) slow path by these factors.

@@ -8,7 +8,8 @@ Only ``system.run`` is inside the measured region (system construction
 and workload launch happen in the per-round setup), so the number is
 the interpreter/engine throughput the campaign actually sees — the
 quantity the PR 5 pre-decoded block engine is gated on (see
-``test_bench_engine.py`` and ``BENCH_PR5.json``).
+``test_bench_engine.py`` and the ``benchmarks/output/BENCH_PR6.json``
+record it writes).
 """
 
 import pytest

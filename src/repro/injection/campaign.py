@@ -21,10 +21,10 @@ from repro.injection.classify import (
 )
 from repro.injection.fault import FaultDescriptor, FaultModel
 from repro.injection.golden import GoldenRunner, GoldenRunResult
-from repro.hardening.schemes import compile_scheme, normalize_hardening, recovery_retries
+from repro.hardening.schemes import compile_scheme, recovery_retries
 from repro.isa.arch import get_arch
 from repro.injection.injector import FaultInjector, InjectionResult
-from repro.npb.suite import Scenario, format_target_mix, parse_target_mix_label
+from repro.npb.suite import Scenario, format_target_mix
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ class ScenarioReport:
         return record
 
     # ------------------------------------------------------------------
-    # serialisation: lossless payload (campaign shards) and flat-record
-    # reconstruction (the save_json summary path)
+    # serialisation: the lossless payload is the only report form ever
+    # parsed back (store shards, saved databases); as_record above is a
+    # write-only flat view
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -221,64 +222,6 @@ class ScenarioReport:
             job_failures=[dict(failure) for failure in payload.get("job_failures", [])],
             adaptive=dict(payload["adaptive"]) if payload.get("adaptive") is not None else None,
             recovery=dict(payload["recovery"]) if payload.get("recovery") is not None else None,
-        )
-
-    @classmethod
-    def from_record(
-        cls,
-        record: dict,
-        results: Optional[list[InjectionResult]] = None,
-        job_failures: Optional[list[dict]] = None,
-    ) -> "ScenarioReport":
-        """Rebuild a queryable report from an :meth:`as_record` row.
-
-        The flat record stores percentages rounded for display, so they
-        (and the masking rate) are recomputed exactly from the counts.
-        Golden statistics survive under their ``stat_`` prefix; the rest
-        of the golden summary is not part of the flat row.  The flat row
-        only carries the failed-job *count*, so the caller supplies the
-        structured ``job_failures`` (the database payload keeps them in
-        a side table).
-        """
-        scenario = Scenario(
-            app=str(record["app"]),
-            mode=str(record["mode"]),
-            cores=int(record["cores"]),
-            isa=str(record["isa"]),
-            target_mix=parse_target_mix_label(record.get("target_mix", "default")),
-            hardening=normalize_hardening(record.get("hardening")),
-        )
-        counts = {
-            key[len("count_"):]: int(value)
-            for key, value in record.items()
-            if key.startswith("count_")
-        }
-        stats = {
-            key[len("stat_"):]: value for key, value in record.items() if key.startswith("stat_")
-        }
-        recovery = None
-        if "recovery_rollbacks" in record:
-            recovery = {
-                "retries": record.get("recovery_retries"),
-                "recovered": counts.get(Outcome.RECOVERED.value, 0),
-                "rollbacks": record.get("recovery_rollbacks"),
-                "reexecuted_instructions": record.get("recovery_reexecuted_instructions"),
-                "escalations": record.get("recovery_escalations"),
-                "multi_retry_injections": record.get("recovery_multi_retry_injections"),
-            }
-        return cls(
-            scenario=scenario,
-            faults_injected=int(record["faults"]),
-            counts=counts,
-            percentages=outcome_percentages(counts),
-            masking_rate_pct=masking_rate(counts),
-            golden_summary={"scenario": scenario.scenario_id},
-            golden_stats=stats,
-            wall_time_seconds=float(record.get("wall_time_seconds", 0.0)),
-            results=list(results) if results else [],
-            target_mix_label=str(record.get("target_mix", "default")),
-            job_failures=[dict(failure) for failure in job_failures] if job_failures else [],
-            recovery=recovery,
         )
 
 

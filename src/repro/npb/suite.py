@@ -9,7 +9,6 @@ exactly 130 scenarios over the two ISAs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -68,24 +67,6 @@ def format_target_mix(mix) -> str:
     if normalized is None:
         return "default"
     return "+".join(f"{kind}{weight:g}" for kind, weight in normalized)
-
-
-#: One ``kind``+``weight`` segment of a target-mix label.  Kinds are
-#: alphabetic (gpr, fpr, pc, memory, cache); the weight is a %g float.
-_MIX_SEGMENT = re.compile(r"^([a-z]+)([-+0-9.eE]+)$")
-
-
-def parse_target_mix_label(label: str) -> Optional[tuple[tuple[str, float], ...]]:
-    """Invert :func:`format_target_mix` (``"default"`` comes back as None)."""
-    if label is None or label == "default":
-        return None
-    pairs = []
-    for segment in label.split("+"):
-        match = _MIX_SEGMENT.match(segment)
-        if match is None:
-            raise ValueError(f"unparseable target-mix segment {segment!r} in label {label!r}")
-        pairs.append((match.group(1), float(match.group(2))))
-    return normalize_target_mix(pairs)
 
 
 @dataclass(frozen=True)

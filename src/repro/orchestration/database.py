@@ -3,13 +3,15 @@
 All per-scenario reports are assembled into a single queryable store
 that can be saved to / loaded from JSON and exported as flat record
 lists (one row per scenario, one row per individual injection) for the
-data-mining tool.
+data-mining tool.  The flat records are write-only: loading rebuilds
+every report from its lossless payload.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -18,6 +20,10 @@ from repro.injection.campaign import ScenarioReport
 from repro.injection.classify import REPORT_OUTCOME_ORDER
 from repro.injection.injector import InjectionResult
 from repro.orchestration.store import ScenarioFailure
+
+#: save_json's section of lossless report payloads, the only part of a
+#: saved summary that load() parses back into reports
+REPORTS_KEY = "reports"
 
 
 def strip_wall_times(payload):
@@ -139,12 +145,13 @@ class ResultsDatabase:
     # ------------------------------------------------------------------
 
     def to_dict(self, include_injections: bool = False) -> dict:
+        """The flat, write-only view: mining, CSV and the fingerprint read it."""
         payload = {
             "metadata": self.metadata,
             "scenarios": self.scenario_records(),
             "failures": [failure.as_dict() for failure in self.failures],
             # flat rows only carry the failed-job count; the structured
-            # entries live here so load() round-trips them
+            # entries are listed here for readers of the flat view
             "job_failures": {
                 report.scenario_id: [dict(f) for f in report.job_failures]
                 for report in self.reports.values()
@@ -156,10 +163,22 @@ class ResultsDatabase:
         return payload
 
     def save_json(self, path: str | Path, include_injections: bool = False) -> Path:
+        """Write :meth:`to_dict` plus every report's lossless payload.
+
+        The payloads go under ``reports`` with their ``results`` left
+        out: each injection record is written once, in ``injections``,
+        and :meth:`load` re-attaches them by scenario id.
+        """
+        payload = self.to_dict(include_injections=include_injections)
+        payload[REPORTS_KEY] = []
+        for report in self.reports.values():
+            lossless = replace(report, results=[]).to_payload()
+            del lossless["results"]
+            payload[REPORTS_KEY].append(lossless)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(include_injections=include_injections), handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
         return path
 
     @staticmethod
@@ -175,27 +194,27 @@ class ResultsDatabase:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ResultsDatabase":
-        """Rebuild a queryable database from :meth:`to_dict` output.
+        """Rebuild a queryable database from :meth:`save_json` output.
 
-        Scenario reports come back with exact counts (percentages and
-        masking rate are recomputed from them rather than parsed from
-        the display-rounded flat fields); when the payload carries
-        individual injections they are re-attached to their scenarios.
+        Every report comes from its lossless payload; the flat rows are
+        never parsed.  A summary without the lossless section (one
+        written before it existed) is rejected rather than rebuilt
+        lossily.
         """
-        database = cls()
-        database.metadata = dict(payload.get("metadata", {}))
-        results_by_scenario: dict[str, list[InjectionResult]] = {}
+        if REPORTS_KEY not in payload:
+            raise SimulatorError(
+                f"campaign summary has no {REPORTS_KEY!r} section of lossless "
+                "report payloads; rebuild it from the campaign store and save it again"
+            )
+        results: dict[str, list[InjectionResult]] = {}
         for record in payload.get("injections", []):
             result = InjectionResult.from_record(record)
-            results_by_scenario.setdefault(result.scenario_id, []).append(result)
-        job_failures = payload.get("job_failures", {})
-        for record in payload.get("scenarios", []):
-            scenario_id = record["scenario_id"]
-            report = ScenarioReport.from_record(
-                record,
-                results=results_by_scenario.get(scenario_id),
-                job_failures=job_failures.get(scenario_id),
-            )
+            results.setdefault(result.scenario_id, []).append(result)
+        database = cls()
+        database.metadata = dict(payload.get("metadata", {}))
+        for report_payload in payload[REPORTS_KEY]:
+            report = ScenarioReport.from_payload(report_payload)
+            report.results = results.get(report.scenario_id, [])
             database.add_report(report)
         for failure in payload.get("failures", []):
             database.add_failure(ScenarioFailure.from_dict(failure))

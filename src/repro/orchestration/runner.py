@@ -548,6 +548,11 @@ class CampaignRunner:
         #: (guest_instructions, wall_seconds) of the last scenario
         self.last_scenario_throughput: Optional[tuple[int, float]] = None
 
+    @property
+    def plan_dict(self) -> Optional[dict]:
+        """The plan as store manifests record it; None for fixed counts."""
+        return self.plan.as_dict() if self.plan is not None else None
+
     # ------------------------------------------------------------------
     # building blocks
     # ------------------------------------------------------------------
@@ -580,9 +585,9 @@ class CampaignRunner:
         pool: Optional[PersistentSuitePool],
         campaign: ScenarioCampaign,
         golden_ref: Optional[str],
-    ) -> tuple[list[InjectionResult], list[dict], int]:
+    ) -> tuple[list[InjectionResult], list[dict]]:
         """Batch one fault list into jobs and drain them; returns
-        (results, job_failures, job_count)."""
+        (results, job_failures) in job order."""
         jobs = self.batcher.batch(
             scenario,
             None,
@@ -591,26 +596,18 @@ class CampaignRunner:
             target_mix=campaign.resolved_target_mix(),
             golden_ref=golden_ref,
         )
+        self.progress(
+            f"[inject] {scenario.scenario_id}: {len(fault_list)} faults in {len(jobs)} jobs, "
+            f"{len(campaign.golden.checkpoints)} checkpoints"
+        )
         if pool is not None:
-            results, job_failures = pool.run_jobs(jobs, self.job_retries, self.progress)
-        else:
-            results, job_failures = _drain_jobs(
-                jobs,
-                lambda outstanding: map(_execute_job_guarded, outstanding),
-                self.job_retries,
-                self.progress,
-            )
-        return results, job_failures, len(jobs)
-
-    def _partial_payload(
-        self, scenario_id: str, controller: AdaptiveController, results: list[InjectionResult]
-    ) -> dict:
-        return {
-            "scenario_id": scenario_id,
-            "plan": self.plan.as_dict() if self.plan is not None else None,
-            "batches": list(controller.batches),
-            "results": [result.as_record() for result in results],
-        }
+            return pool.run_jobs(jobs, self.job_retries, self.progress)
+        return _drain_jobs(
+            jobs,
+            lambda outstanding: map(_execute_job_guarded, outstanding),
+            self.job_retries,
+            self.progress,
+        )
 
     def _run_adaptive(
         self,
@@ -649,7 +646,7 @@ class CampaignRunner:
             batch = controller.next_batch()
             if batch is None:
                 break
-            batch_results, job_failures, _ = self._drain_fault_list(
+            batch_results, job_failures = self._drain_fault_list(
                 scenario, batch.faults, pool, campaign, golden_ref
             )
             if job_failures:
@@ -667,7 +664,15 @@ class CampaignRunner:
                 + (f", stop: {record['stopping']}" if record["stopping"] else "")
             )
             if checkpoint is not None and controller.stopping is None:
-                checkpoint(scenario_id, self._partial_payload(scenario_id, controller, results))
+                checkpoint(
+                    scenario_id,
+                    {
+                        "scenario_id": scenario_id,
+                        "plan": self.plan.as_dict(),
+                        "batches": list(controller.batches),
+                        "results": [result.as_record() for result in results],
+                    },
+                )
         return results, controller
 
     def run_one(
@@ -688,9 +693,11 @@ class CampaignRunner:
         reports.  ``campaign`` supplies a pre-computed golden run (the
         suite's prefetch thread); without it the golden runs inline.
 
-        With a sampling plan on the runner, the injection phase is
-        adaptive (see :meth:`_run_adaptive`); ``partial`` and
-        ``checkpoint`` then carry batch-granular resume state.
+        This is the only place that branches on the sampling plan.  With
+        a plan on the runner, the injection phase is adaptive (see
+        :meth:`_run_adaptive`) and ``partial``/``checkpoint`` carry its
+        batch-granular resume state; a fixed-count run ignores both (it
+        never checkpoints, so its store holds no partials).
         """
         start = time.perf_counter()
         if campaign is None:
@@ -712,14 +719,8 @@ class CampaignRunner:
                 adaptive = controller.summary()
                 job_failures: list[dict] = []
             else:
-                fault_list = campaign.build_fault_list(faults)
-                job_count = -(-len(fault_list) // self.batcher.faults_per_job)
-                self.progress(
-                    f"[inject] {scenario_id}: {len(fault_list)} faults in {job_count} jobs, "
-                    f"{len(golden.checkpoints)} checkpoints"
-                )
-                results, job_failures, _ = self._drain_fault_list(
-                    scenario, fault_list, pool, campaign, golden_ref
+                results, job_failures = self._drain_fault_list(
+                    scenario, campaign.build_fault_list(faults), pool, campaign, golden_ref
                 )
         except KeyboardInterrupt:
             interrupted = True
@@ -756,6 +757,47 @@ class CampaignRunner:
         self.progress(f"[done]   {scenario_id}: {done}")
         return report
 
+    def _load_completed(
+        self, store: CampaignStore, scenarios: list[Scenario]
+    ) -> dict[str, ScenarioReport]:
+        """The reports of the scenarios' readable shards, by scenario id.
+
+        A shard that fails to parse or fails its format check counts as
+        not completed: its scenario re-runs and its shard is rewritten.
+        """
+        completed = store.completed_ids()
+        reports: dict[str, ScenarioReport] = {}
+        for scenario_id in (scenario.scenario_id for scenario in scenarios):
+            if scenario_id not in completed:
+                continue
+            try:
+                reports[scenario_id] = store.load_shard(scenario_id)
+            except Exception as exc:  # noqa: BLE001 — any unreadable shard re-runs
+                self.progress(f"[resume] {scenario_id}: bad shard, re-running: {type(exc).__name__}: {exc}")
+        return reports
+
+    def _record_failure(
+        self,
+        database: ResultsDatabase,
+        store: Optional[CampaignStore],
+        prior_attempts: dict[str, int],
+        scenario_id: str,
+        phase: str,
+        exc: Exception,
+    ) -> None:
+        """Record one failed scenario in the database and the store."""
+        failure = ScenarioFailure(
+            scenario_id=scenario_id,
+            phase=phase,
+            error_type=type(exc).__name__,
+            error=str(exc),
+            attempts=prior_attempts.get(scenario_id, 0) + 1,
+        )
+        database.add_failure(failure)
+        if store is not None:
+            store.write_failure(failure)
+        self.progress(f"[fail]   {scenario_id}: {phase} phase: {failure.error_type}: {failure.error}")
+
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -787,7 +829,6 @@ class CampaignRunner:
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         prior_attempts: dict[str, int] = {}
-        plan_dict = self.plan.as_dict() if self.plan is not None else None
         if store is not None:
             prior_attempts = prepare_store(
                 store,
@@ -795,10 +836,11 @@ class CampaignRunner:
                 self.config.as_dict(),
                 faults,
                 resume,
-                plan=plan_dict,
+                plan=self.plan_dict,
             )
-        completed = store.completed_ids() if (store is not None and resume) else set()
-        pending = [scenario for scenario in scenarios if scenario.scenario_id not in completed]
+        resuming = store is not None and resume
+        resumed = self._load_completed(store, scenarios) if resuming else {}
+        pending = [scenario for scenario in scenarios if scenario.scenario_id not in resumed]
 
         suite_start = time.monotonic()
         executed = 0
@@ -813,26 +855,13 @@ class CampaignRunner:
                 if ahead.scenario_id not in prefetched:
                     prefetched[ahead.scenario_id] = GoldenPrefetch(self._compute_golden, ahead)
 
-        def record_failure(scenario: Scenario, phase: str, exc: Exception) -> None:
-            failure = ScenarioFailure(
-                scenario_id=scenario.scenario_id,
-                phase=phase,
-                error_type=type(exc).__name__,
-                error=str(exc),
-                attempts=prior_attempts.get(scenario.scenario_id, 0) + 1,
-            )
-            database.add_failure(failure)
-            if store is not None:
-                store.write_failure(failure)
-            self.progress(f"[fail]   {scenario.scenario_id}: {phase} phase: {failure.error_type}: {failure.error}")
-
         try:
             with self._pool_scope() as pool:
                 pending_pos = 0
                 for scenario in scenarios:
                     scenario_id = scenario.scenario_id
-                    if scenario_id in completed:
-                        database.add_report(store.load_shard(scenario_id))
+                    if scenario_id in resumed:
+                        database.add_report(resumed[scenario_id])
                         done += 1
                         self.progress(f"[skip]   {scenario_id}: resumed from shard")
                         continue
@@ -847,27 +876,21 @@ class CampaignRunner:
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "golden", exc)
+                        self._record_failure(database, store, prior_attempts, scenario_id, "golden", exc)
                         continue
-                    partial = None
-                    checkpoint = None
-                    if store is not None and self.plan is not None:
-                        if resume:
-                            partial = store.load_partial(scenario_id)
-                        checkpoint = store.write_partial
                     try:
                         report = self.run_one(
                             scenario,
                             faults,
                             pool,
                             campaign=campaign,
-                            partial=partial,
-                            checkpoint=checkpoint,
+                            partial=store.load_partial(scenario_id) if resuming else None,
+                            checkpoint=store.write_partial if store is not None else None,
                         )
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "inject", exc)
+                        self._record_failure(database, store, prior_attempts, scenario_id, "inject", exc)
                         continue
                     try:
                         database.add_report(report)
@@ -876,7 +899,7 @@ class CampaignRunner:
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        record_failure(scenario, "assemble", exc)
+                        self._record_failure(database, store, prior_attempts, scenario_id, "assemble", exc)
                         continue
                     executed += 1
                     done += 1
@@ -934,14 +957,13 @@ class CampaignRunner:
         by_id = {scenario.scenario_id: scenario for scenario in scenarios}
         owner = owner or f"worker-{os.getpid()}"
         database = database if database is not None else ResultsDatabase()
-        plan_dict = self.plan.as_dict() if self.plan is not None else None
         if store.read_manifest() is None:
             # First worker in: publish the manifest peers will claim
             # against.  Concurrent first workers write identical bytes,
             # and _atomic_write_json makes the race harmless.
-            store.write_manifest(list(by_id), self.config.as_dict(), faults, plan=plan_dict)
+            store.write_manifest(list(by_id), self.config.as_dict(), faults, plan=self.plan_dict)
         else:
-            store.check_resumable(list(by_id), self.config.as_dict(), faults, plan=plan_dict)
+            store.check_resumable(list(by_id), self.config.as_dict(), faults, plan=self.plan_dict)
         prior_attempts = {
             failure.scenario_id: failure.attempts for failure in store.load_failures()
         }
@@ -950,6 +972,13 @@ class CampaignRunner:
         # semantics.  Without this, fail -> release -> claim_next would
         # re-claim the same broken scenario forever.
         attempted_failures: set = set()
+
+        # A reclaimed lease continues its predecessor's batch stream
+        # from the checkpoint; commit-iff-held writes keep a stalled
+        # predecessor from clobbering ours.
+        def checkpoint(scenario_id: str, payload: dict) -> None:
+            store.write_partial_leased(scenario_id, payload, owner)
+
         with self._pool_scope() as pool:
             while True:
                 claimable = [sid for sid in by_id if sid not in attempted_failures]
@@ -959,40 +988,22 @@ class CampaignRunner:
                 scenario = by_id[lease.scenario_id]
                 scenario_id = scenario.scenario_id
                 self.progress(f"[lease]  {scenario_id}: claimed by {owner}")
-                partial = None
-                checkpoint = None
-                if self.plan is not None:
-                    # A reclaimed lease continues its predecessor's batch
-                    # stream from the checkpoint; commit-iff-held writes
-                    # keep a stalled predecessor from clobbering ours.
-                    partial = store.load_partial(scenario_id)
-
-                    def checkpoint(sid: str, payload: dict, _store=store, _owner=owner):
-                        _store.write_partial_leased(sid, payload, _owner)
-
                 with LeaseHeartbeat(store, scenario_id, owner, lease_ttl) as heartbeat:
                     try:
                         report = self.run_one(
-                            scenario, faults, pool, partial=partial, checkpoint=checkpoint
+                            scenario,
+                            faults,
+                            pool,
+                            partial=store.load_partial(scenario_id),
+                            checkpoint=checkpoint,
                         )
                     except KeyboardInterrupt:
                         store.release_lease(scenario_id, owner)
                         raise
                     except Exception as exc:  # noqa: BLE001 — isolate the scenario
-                        failure = ScenarioFailure(
-                            scenario_id=scenario_id,
-                            phase="run",
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                            attempts=prior_attempts.get(scenario_id, 0) + 1,
-                        )
-                        database.add_failure(failure)
-                        store.write_failure(failure)
+                        self._record_failure(database, store, prior_attempts, scenario_id, "run", exc)
                         attempted_failures.add(scenario_id)
                         store.release_lease(scenario_id, owner)
-                        self.progress(
-                            f"[fail]   {scenario_id}: {failure.error_type}: {failure.error}"
-                        )
                         continue
                 if heartbeat.lost or not store.commit_leased(report, owner):
                     self.progress(

@@ -312,14 +312,13 @@ class WorkerAgent:
         scenario_id = scenario.scenario_id
         runner = self._runner_for(grant["config"], grant.get("plan"), grant.get("prior"))
         ttl = float(grant.get("lease_ttl") or 120.0)
-        adaptive = grant.get("plan") is not None
         with _RemoteHeartbeat(self.client, self.worker_id, scenario_id, ttl) as heartbeat:
             try:
                 report = runner.run_one(
                     scenario,
                     grant.get("faults"),
-                    partial=grant.get("partial") if adaptive else None,
-                    checkpoint=self._checkpoint if adaptive else None,
+                    partial=grant.get("partial"),
+                    checkpoint=self._checkpoint,
                 )
             except KeyboardInterrupt:
                 # No /fail: an interrupt is not a scenario failure.  The

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SimulatorError
-from repro.injection.campaign import CampaignConfig, ScenarioReport
+from repro.injection.campaign import CampaignConfig, ScenarioCampaign, ScenarioReport
 from repro.injection.fault import FaultModel
 from repro.injection.golden import GoldenRunner
 from repro.npb.suite import Scenario
@@ -41,6 +41,7 @@ from repro.orchestration.runner import (
     pool_context,
     resolve_golden,
 )
+from repro.stats.plan import SamplingPlan
 
 
 def synthetic_report(app="IS", mode="serial", cores=1, isa="armv8", counts=None, stats=None):
@@ -460,6 +461,40 @@ class TestSuiteResilience:
         failures = {f.scenario_id: f for f in result.failures}
         assert failures[self.GOOD[0].scenario_id].phase == "assemble"
         assert failures[self.GOOD[0].scenario_id].error_type == "DuplicateReportError"
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-format"])
+    def test_resume_reruns_an_unreadable_shard(self, tmp_path, damage):
+        """A damaged shard counts as not completed: its scenario re-runs,
+        its shard is rewritten, and the resumed database is the clean one."""
+        store = CampaignStore(tmp_path / "store")
+        self._runner().run_suite(self.GOOD, store=store)
+        damaged = self.GOOD[0].scenario_id
+        path = store.shard_path(damaged)
+        if damage == "truncated":
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])
+        else:
+            path.write_text(json.dumps({"format": -1, "report": {}}))
+        messages = []
+        resumed = self._runner(progress=messages.append).run_suite(
+            self.GOOD, store=store, resume=True
+        )
+        assert any(m.startswith("[resume]") and damaged in m for m in messages)
+        assert any(m.startswith("[skip]") and self.GOOD[1].scenario_id in m for m in messages)
+        assert resumed.failures == []
+        assert store.load_shard(damaged).counts == resumed.get(damaged).counts
+        clean = self._runner().run_suite(self.GOOD)
+        assert campaign_fingerprint(resumed) == campaign_fingerprint(clean)
+
+    def test_fixed_count_runs_never_checkpoint(self, tmp_path):
+        calls = []
+        self._runner().run_one(self.GOOD[0], checkpoint=lambda *args: calls.append(args))
+        assert calls == []
+        store = CampaignStore(tmp_path / "store")
+        self._runner().run_suite(self.GOOD, store=store)
+        self._runner().run_leased(self.GOOD, store=tmp_path / "leased", owner="w0")
+        assert store.partial_ids() == set()
+        assert CampaignStore(tmp_path / "leased").partial_ids() == set()
 
     def test_filtered_resume_keeps_manifest_union(self, tmp_path):
         """Resuming a subset must not shrink the manifest's suite coverage."""
@@ -893,16 +928,88 @@ class TestResultsDatabase:
         assert loaded_report.as_record()["failed_jobs"] == 1
         assert loaded.to_dict() == database.to_dict()
 
-    def test_load_reconstructs_target_mix_scenarios(self):
+    def test_load_reconstructs_target_mix_scenarios(self, tmp_path):
         scenario = Scenario("IS", "serial", 1, "armv8").with_target_mix(
             {"gpr": 0.5, "memory": 0.5}
         )
         report = synthetic_report(counts={"Vanished": 2})
-        record = report.as_record()
-        record.update(scenario.describe())  # carries the mix label
-        rebuilt = ScenarioReport.from_record(record)
+        report.scenario = scenario
+        report.target_mix_label = scenario.target_mix_label
+        database = ResultsDatabase()
+        database.add_report(report)
+        rebuilt = ResultsDatabase.load(database.save_json(tmp_path / "mix.json")).get(
+            scenario.scenario_id
+        )
         assert rebuilt.scenario == scenario
         assert rebuilt.scenario_id == scenario.scenario_id
+
+
+    def test_load_rejects_summary_without_lossless_section(self, synthetic_database, tmp_path):
+        path = synthetic_database.save_json(tmp_path / "campaign.json")
+        payload = json.loads(path.read_text())
+        del payload["reports"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SimulatorError, match="'reports'"):
+            ResultsDatabase.load(path)
+
+    def test_save_json_writes_each_injection_once(self, tmp_path):
+        config = CampaignConfig(faults_per_scenario=5, seed=13)
+        report = CampaignRunner(config, workers=0).run_scenario(Scenario("IS", "serial", 1, "armv8"))
+        database = ResultsDatabase()
+        database.add_report(report)
+        payload = ResultsDatabase.load_json(
+            database.save_json(tmp_path / "full.json", include_injections=True)
+        )
+        assert len(payload["injections"]) == len(report.results)
+        assert all("results" not in lossless for lossless in payload["reports"])
+        # the flat view is exactly to_dict: mining readers see no change
+        assert {k: v for k, v in payload.items() if k != "reports"} == json.loads(
+            json.dumps(database.to_dict(include_injections=True))
+        )
+
+
+class TestRecordOrderContract:
+    """The order each driver records results in (docs/orchestration.md).
+
+    Downstream fingerprint shas pin these orders; a merge of the fixed
+    and adaptive loops that changed one must fail here.
+    """
+
+    SCENARIO = Scenario("IS", "serial", 1, "armv8")
+    CONFIG = CampaignConfig(faults_per_scenario=24, seed=2018)
+
+    def test_runner_fixed_path_records_in_job_order(self):
+        report = CampaignRunner(self.CONFIG, workers=0, faults_per_job=5).run_scenario(
+            self.SCENARIO
+        )
+        keys = [(r.fault.injection_time, r.fault.fault_id) for r in report.results]
+        assert keys == sorted(keys)
+        ids = [r.fault.fault_id for r in report.results]
+        assert ids != sorted(ids)  # the two orders really differ here
+
+    def test_reference_fixed_driver_records_in_fault_id_order(self):
+        report = ScenarioCampaign(self.SCENARIO, self.CONFIG).run()
+        assert [r.fault.fault_id for r in report.results] == list(range(24))
+
+    def test_adaptive_batches_record_in_fault_id_order(self):
+        plan = SamplingPlan(target_half_width=0.2, min_faults=32, max_faults=64, batch_size=16)
+        reference = ScenarioCampaign(self.SCENARIO, self.CONFIG).run_adaptive(plan)
+        pooled = CampaignRunner(self.CONFIG, workers=0, faults_per_job=5, plan=plan).run_scenario(
+            self.SCENARIO
+        )
+        job_ordered_batches = 0
+        for report in (reference, pooled):
+            offset = 0
+            for batch in report.adaptive["batches"]:
+                chunk = report.results[offset : offset + batch["size"]]
+                offset += batch["size"]
+                ids = [r.fault.fault_id for r in chunk]
+                assert ids == sorted(ids)
+                by_time = sorted(chunk, key=lambda r: (r.fault.injection_time, r.fault.fault_id))
+                job_ordered_batches += by_time != chunk
+            assert offset == len(report.results)
+        assert job_ordered_batches  # the job order would have differed
+        assert [r.fault for r in pooled.results] == [r.fault for r in reference.results]
 
 
 class TestThroughputReporting:

@@ -19,7 +19,7 @@ from repro.injection.campaign import CampaignConfig, ScenarioCampaign
 from repro.injection.classify import NOT_INJECTED
 from repro.injection.injector import FaultInjector
 from repro.npb.suite import Scenario
-from repro.orchestration.database import ResultsDatabase
+from repro.orchestration.database import ResultsDatabase, campaign_fingerprint
 from repro.orchestration.runner import CampaignRunner
 from repro.orchestration.store import CampaignStore
 from repro.stats import (
@@ -428,6 +428,21 @@ class TestAdaptiveDrivers:
         store = CampaignStore(tmp_path / "store")
         store.write_shard(reference)
         assert store.load_shard(SCENARIO.scenario_id).adaptive == reference.adaptive
+
+    def test_database_round_trip_preserves_adaptive(self, tmp_path):
+        """save_json -> load keeps the adaptive provenance, flat columns
+        and fingerprint: the report is rebuilt from its lossless payload."""
+        plan = SamplingPlan(target_half_width=0.2, min_faults=32, max_faults=64, batch_size=32)
+        scenario = Scenario("IS", "serial", 1, "armv8")
+        report = CampaignRunner(config=CONFIG, plan=plan).run_scenario(scenario)
+        database = ResultsDatabase()
+        database.add_report(report)
+        loaded = ResultsDatabase.load(
+            database.save_json(tmp_path / "db.json", include_injections=True)
+        )
+        assert loaded.get(scenario.scenario_id).adaptive == report.adaptive
+        assert loaded.scenario_records() == database.scenario_records()
+        assert campaign_fingerprint(loaded) == campaign_fingerprint(database)
 
     def test_fixed_count_payload_has_no_adaptive_keys(self, stats_campaign):
         campaign, _ = stats_campaign
