@@ -407,13 +407,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import render_predicted_avf, render_table
     from repro.npb.suite import build_program
-    from repro.staticlint import (
-        analyze_liveness,
-        analyze_program,
-        analyze_scenario,
-        validate_store,
-        variable_ranks,
-    )
+    from repro.staticlint import analyze_liveness, analyze_program, analyze_scenario, variable_ranks
+    from repro.staticlint.validate import validate_store
 
     if args.validate is not None:
         report = validate_store(args.validate)

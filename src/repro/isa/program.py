@@ -49,6 +49,8 @@ class Program:
     #: ("reg"|"freg"|"stack", index).  Lets analyses report per-variable
     #: ranks from register-level results.
     variable_homes: dict[str, dict[str, tuple[str, int]]] = field(default_factory=dict)
+    #: (instruction list, its encoded image) from the last machine_code call
+    _image: tuple[list[Instr], bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def text_size(self) -> int:
@@ -81,8 +83,17 @@ class Program:
         return "<unknown>"
 
     def machine_code(self) -> bytes:
-        """Pseudo machine code image of the text segment."""
-        return encode_program(self.instructions)
+        """Pseudo machine code image of the text segment, encoded once.
+
+        The loader maps this image into every system it builds, so it is
+        cached against the identity of ``instructions``.  Nothing mutates
+        the list in place once ``link`` returns it: the simulator and the
+        fault injector corrupt the mapped text segment (a copy), never
+        the program.  Assigning a new list invalidates the cache.
+        """
+        if self._image is None or self._image[0] is not self.instructions:
+            self._image = (self.instructions, encode_program(self.instructions))
+        return self._image[1]
 
     def disassemble(self, start: int = 0, count: int | None = None) -> str:
         """Human readable listing of (part of) the text segment."""

@@ -5,6 +5,11 @@ symptoms (execution time, branch share, memory-instruction share,
 function calls, ...) and soft-error vulnerability figures (UT share,
 Hang share, masking rate) are surfaced by ranking pairwise
 correlations.
+
+Spearman's rho has one definition here: the Pearson coefficient of the
+two series' average ranks (tied values share the mean of the ranks they
+span, so ties need no correction term).  A series with no variation
+gives 0.0, like every other degenerate input.
 """
 
 from __future__ import annotations
@@ -13,11 +18,6 @@ import math
 from typing import Optional, Sequence
 
 from repro.mining.dataset import Dataset
-
-try:  # scipy gives exact Spearman handling of ties; fall back to manual ranks
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is available in the test env
-    _scipy_stats = None
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -54,14 +54,10 @@ def _ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation (scipy when available, manual otherwise)."""
+    """Spearman rank correlation: Pearson over average ranks."""
     n = min(len(xs), len(ys))
     if n < 2:
         return 0.0
-    if _scipy_stats is not None:
-        result = _scipy_stats.spearmanr(xs[:n], ys[:n])
-        value = float(result.correlation)
-        return 0.0 if math.isnan(value) else value
     return pearson(_ranks(list(xs[:n])), _ranks(list(ys[:n])))
 
 

@@ -10,6 +10,12 @@ per-register ACE fraction and a predicted masking rate per scenario —
 a prior over where faults matter, validated against measured campaign
 outcomes by :mod:`repro.staticlint.validate` and consumed by
 importance-weighted fault sampling and top-N selective hardening.
+
+The package namespace exports the analysis only.  Import the validator
+from :mod:`repro.staticlint.validate` directly: it reads results
+databases and renders tables, so loading it here would make every
+campaign process that asks for a static prior import the results and
+mining layers too.
 """
 
 from repro.staticlint.ace import (
@@ -29,12 +35,6 @@ from repro.staticlint.cfg import (
     build_program_cfg,
 )
 from repro.staticlint.liveness import LivenessResult, analyze_liveness
-from repro.staticlint.validate import (
-    ValidationReport,
-    ValidationRow,
-    validate_database,
-    validate_store,
-)
 
 __all__ = [
     "PREDICTABLE_KINDS",
@@ -51,8 +51,4 @@ __all__ = [
     "build_program_cfg",
     "LivenessResult",
     "analyze_liveness",
-    "ValidationReport",
-    "ValidationRow",
-    "validate_database",
-    "validate_store",
 ]

@@ -73,7 +73,8 @@ class ValidationReport:
         return pearson(xs, ys)
 
     def spearman_by(self, key: str) -> Dict[str, float]:
-        records = [row.as_record() for row in self.rows]
+        # the unrounded fields, so groups rank what overall_spearman ranks
+        records = [vars(row) for row in self.rows]
         return grouped_spearman(
             records, key, "predicted_masking_pct", "measured_masking_pct"
         )

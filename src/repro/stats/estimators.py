@@ -10,7 +10,7 @@ stops on:
   interval collapses to zero width.
 * :func:`clopper_pearson` — the exact (conservative) interval, built on
   the regularized incomplete beta function implemented here from
-  ``math.lgamma`` (stdlib only, no scipy).
+  ``math.lgamma`` (standard library only).
 * :func:`post_stratified` — reweights per-stratum rates by known stratum
   probabilities.  With proportional weights it reduces exactly to the
   plain pooled estimator; with Neyman-style allocation it is the reason

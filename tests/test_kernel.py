@@ -11,7 +11,9 @@ from repro.compiler.ast import ExprStmt, FuncAddr, Function, GlobalVar, If, Modu
 from repro.compiler.linker import link
 from repro.errors import DeadlockError, WatchdogTimeout
 from repro.isa.arch import ARMV7, ARMV8
+from repro.isa.encoding import encode_program
 from repro.kernel.loader import ProgramLoader, TEXT_BASE, make_context
+from repro.npb.suite import Scenario, build_program, create_system, launch_scenario
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.threads import Thread, ThreadState
 from repro.soc.multicore import build_system
@@ -52,6 +54,26 @@ class TestLoader:
         loader = ProgramLoader(ARMV8)
         with pytest.raises(Exception):
             loader.build_address_space(program, "p")
+
+    def test_text_image_encoded_once_and_never_shared(self):
+        # every injection builds a system from the same Program; a fault
+        # in one system's text segment must not leak into the next build
+        scenario = Scenario("IS", "serial", 1, "armv8")
+        program = build_program(scenario.app, scenario.mode, scenario.isa)
+        assert program.machine_code() is program.machine_code()
+
+        def text_of(system):
+            return system.kernel.processes[0].address_space.segment_by_name("text")
+
+        injected = create_system(scenario)
+        launch_scenario(injected, scenario, program)
+        injected.kernel.processes[0].address_space.flip_bit(TEXT_BASE + 5, 2)
+        image = encode_program(program.instructions)
+        assert bytes(text_of(injected).data[: len(image)]) != image
+
+        following = create_system(scenario)
+        launch_scenario(following, scenario, program)
+        assert bytes(text_of(following).data[: len(image)]) == image
 
     def test_make_context_sets_abi_registers(self):
         ctx = make_context(ARMV8, pc=0x10000, sp=0x9000, gp=0x100000, args=(3, 4))

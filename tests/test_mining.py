@@ -1,5 +1,7 @@
 """Tests of the cross-layer data mining tool."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +74,27 @@ class TestCorrelation:
         xs = [1.0, 2.0, 3.0, 4.0, 5.0]
         ys = [1.0, 8.0, 27.0, 64.0, 125.0]
         assert spearman(xs, ys) == pytest.approx(1.0)
+
+    # Expected values below are worked by hand: tied values share the
+    # mean of the ranks they span, then Pearson runs over the ranks.
+
+    def test_spearman_ties_in_one_series(self):
+        # ranks (1, 2.5, 2.5, 4) vs (1, 2, 3, 4): cov 4.5, var 4.5 and 5
+        assert spearman([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]) == pytest.approx(math.sqrt(0.9), rel=1e-12)
+        # ranks (1.5, 1.5, 3) vs (1, 2, 3): cov 1.5, var 1.5 and 2
+        assert spearman([50.0, 50.0, 60.0], [10.0, 20.0, 30.0]) == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+
+    def test_spearman_ties_in_both_series(self):
+        # ranks (1.5, 1.5, 3.5, 3.5) vs (1, 2.5, 2.5, 4): cov 3, var 4 and 4.5
+        assert spearman([1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 2.0, 3.0]) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+    def test_spearman_ties_negative(self):
+        # ranks (3, 1.5, 1.5) vs (1, 2, 3): cov -1.5, var 1.5 and 2
+        assert spearman([3.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == pytest.approx(-math.sqrt(3) / 2, rel=1e-12)
+
+    def test_spearman_constant_series_is_zero(self):
+        assert spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) == 0.0
+        assert spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
 
     def test_correlation_matrix_symmetric(self, dataset):
         matrix = correlation_matrix(dataset, ["pct_UT", "stat_memory_instruction_pct", "pct_Vanished"])

@@ -21,6 +21,7 @@ from repro.staticlint import (
     top_variables,
     variable_ranks,
 )
+from repro.staticlint.validate import ValidationReport, ValidationRow
 
 
 def program(instrs, ranges=None, arch=ARMV8):
@@ -313,3 +314,15 @@ def test_program_cfg_covers_all_text():
         index for block in cfg.blocks.values() for index in range(block.start, block.end)
     )
     assert covered == list(range(len(prog.instructions)))
+
+
+def test_spearman_by_ranks_unrounded_values():
+    # 50.0001 and 50.0002 round to the same 3-decimal value; grouping
+    # must rank what overall_spearman ranks, not the rounded record
+    rows = [
+        ValidationRow(f"s{i}", "IS", "serial", "armv8", "off", 10, predicted, measured)
+        for i, (predicted, measured) in enumerate([(50.0001, 10.0), (50.0002, 20.0), (60.0, 30.0)])
+    ]
+    report = ValidationReport(rows=rows)
+    assert report.overall_spearman == pytest.approx(1.0)
+    assert report.spearman_by("isa") == {"armv8": pytest.approx(1.0)}

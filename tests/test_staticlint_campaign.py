@@ -16,7 +16,8 @@ from repro.injection.campaign import CampaignConfig, Scenario, ScenarioCampaign
 from repro.injection.fault import FaultModel, WeightedFaultModel
 from repro.errors import SimulatorError
 from repro.orchestration.database import ResultsDatabase, campaign_fingerprint
-from repro.staticlint import analyze_scenario, validate_database
+from repro.staticlint import analyze_scenario
+from repro.staticlint.validate import validate_database
 
 SEED = 2018
 
